@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +94,13 @@ def record_features(record: dict) -> np.ndarray:
             node = node[key]
         if not isinstance(node, (int, float)) or isinstance(node, bool):
             raise RecordSchemaError(f"non-numeric field {'.'.join(keys)}")
-        values.append(float(node))
+        try:
+            value = float(node)
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise RecordSchemaError(f"non-finite field {'.'.join(keys)}")
+        values.append(value)
     return np.array(values)
 
 
@@ -210,14 +218,26 @@ class AlertService:
             return None
         try:
             with open(self.cursor_path, "r", encoding="utf-8") as fh:
-                return json.load(fh).get("cursor")
+                cursor = json.load(fh)["cursor"]
+            if cursor is not None and not isinstance(cursor, str):
+                raise TypeError(f"cursor {cursor!r} is not a push id")
         except FileNotFoundError:
             return None
+        except (ValueError, TypeError, KeyError) as e:
+            logger.warning("unreadable cursor file %s (%s); starting with no "
+                           "cursor", self.cursor_path, e)
+            return None
+        return cursor
 
     def _save_cursor(self) -> None:
+        """Write the cursor to a temporary file and rename it into place, so
+        a crash leaves either the old cursor or the new one, never a torn
+        file."""
         if self.cursor_path is not None:
-            with open(self.cursor_path, "w", encoding="utf-8") as fh:
+            tmp = f"{os.fspath(self.cursor_path)}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump({"cursor": self.cursor}, fh)
+            os.replace(tmp, self.cursor_path)
 
     def _emit(self, event: AlertEvent) -> None:
         for sink in self.sinks:

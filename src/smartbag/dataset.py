@@ -30,12 +30,6 @@ class DatasetError(Exception):
     """CSV parse or dataset construction failure."""
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Feature matrix (n, 13) with integer labels and a class vocabulary."""
 
@@ -55,9 +49,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i].copy(), int(self.labels[i]))
 
     @property
     def n_classes(self) -> int:
@@ -238,10 +229,11 @@ def generate(profiles, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=n)
     features = np.empty((n, N_FEATURES))
-    for i, lab in enumerate(labels):
+    for lab, row in zip(labels, features):
         prof = profiles[lab]
-        row = rng.normal(prof.mean, prof.std)
+        rng.standard_normal(out=row)
+        row *= prof.std
+        row += prof.mean
         row[WATER_COLUMN] = float(rng.random() < prof.water_prob)
-        features[i] = row
     classes = tuple(p.name for p in profiles)
     return Dataset(features, labels, classes)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,21 +120,17 @@ class ModelParams:
 
 @dataclass
 class AdamState:
-    t: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    """Step count and moment estimates, all weights then all biases laid
+    end to end in one flat array each."""
+
+    t: int
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            t=0,
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
-        )
+        size = sum(a.size for a in params.weights + params.biases)
+        return cls(0, np.zeros(size), np.zeros(size))
 
 
 @dataclass
@@ -153,16 +149,21 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-def softmax(z):
-    """Normalize logits into a probability vector (max-subtracted for safety)."""
-    z = np.asarray(z, dtype=float)
+def _softmax_inplace(z):
+    """Softmax over the last axis, computed in place in the float array z."""
     if z.size == 0:
         raise ValueError("softmax input must be non-empty")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input must be finite")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    z -= np.max(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=-1, keepdims=True)
+    return z
+
+
+def softmax(z):
+    """Normalize logits into a probability vector (max-subtracted for safety)."""
+    return _softmax_inplace(np.array(z, dtype=float))
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator,
@@ -198,8 +199,13 @@ def forward(params: ModelParams, x):
     activations = [a]
     n_layers = len(params.weights)
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        a = softmax(z) if l == n_layers - 1 else np.maximum(z, 0.0)
+        # a @ w.T is a fresh array, so bias and activation go in place
+        a = a @ w.T
+        a += b
+        if l == n_layers - 1:
+            _softmax_inplace(a)
+        else:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
 
@@ -224,14 +230,25 @@ def loss(params: ModelParams, batch, lam: float = 0.0) -> float:
     """Per-unit binary cross-entropy against the softmax outputs, plus an
     L2 penalty on weights (biases excluded)."""
     x, y = _batch_xy(params, batch)
-    m = x.shape[0]
-    if m == 0:
+    if x.shape[0] == 0:
         raise ValueError("empty batch")
     if not np.all((y == 0) | (y == 1)) or not np.allclose(y.sum(axis=1), 1.0):
         raise ValueError("labels must be one-hot")
+    return _loss(params, x, y, lam)
+
+
+def _loss(params: ModelParams, x, y, lam: float) -> float:
+    """`loss` for a non-empty batch whose y is known to be one-hot."""
+    m = x.shape[0]
     p = forward(params, x)[-1]
-    p = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    data = -np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)) / m
+    np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP, out=p)
+    q = 1.0 - p
+    np.log(p, out=p)
+    np.log(q, out=q)
+    p *= y
+    q *= 1.0 - y
+    p += q
+    data = -np.sum(p) / m
     reg = lam / (2.0 * m) * sum(float(np.sum(w * w)) for w in params.weights)
     return float(data + reg)
 
@@ -256,35 +273,47 @@ def backward(params: ModelParams, batch, lam: float = 0.0):
     grad_b = [None] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
         a_prev = activations[l]
-        grad_w[l] = dz.T @ a_prev + (lam / m) * params.weights[l]
+        grad_w[l] = dz.T @ a_prev
+        grad_w[l] += (lam / m) * params.weights[l]
         grad_b[l] = dz.sum(axis=0)
         if l > 0:
-            da = dz @ params.weights[l]
-            dz = da * (activations[l] > 0)
+            dz = dz @ params.weights[l]
+            dz *= activations[l] > 0
     return grad_w, grad_b
 
 
 def adam_step(params: ModelParams, state: AdamState, grads, hyper: Hyperparams):
-    """One bias-corrected Adam update; mutates params and state in place."""
+    """One bias-corrected Adam update; mutates params and state in place.
+
+    Adam is elementwise, so it runs once over all arrays laid end to end,
+    which gives the same bits as updating each array in turn."""
     grad_w, grad_b = grads
     if len(grad_w) != len(params.weights):
         raise ValueError("gradient/parameter layer count mismatch")
+    arrays, grad_arrays = params.weights + params.biases, [*grad_w, *grad_b]
+    if any(a.shape != ga.shape for a, ga in zip(arrays, grad_arrays)):
+        raise ValueError("gradient shape mismatch")
+    p = np.concatenate([a.ravel() for a in arrays])
+    g = np.concatenate([ga.ravel() for ga in grad_arrays])
     state.t += 1
-    t = state.t
-    b1, b2 = hyper.beta1, hyper.beta2
-    lr, eps = hyper.learning_rate, hyper.epsilon
-    for arrays, m_s, v_s, g_s in (
-        (params.weights, state.m_w, state.v_w, grad_w),
-        (params.biases, state.m_b, state.v_b, grad_b),
-    ):
-        for i, (p, g) in enumerate(zip(arrays, g_s)):
-            if p.shape != g.shape:
-                raise ValueError("gradient shape mismatch")
-            m_s[i] = b1 * m_s[i] + (1 - b1) * g
-            v_s[i] = b2 * v_s[i] + (1 - b2) * g * g
-            m_hat = m_s[i] / (1 - b1 ** t)
-            v_hat = v_s[i] / (1 - b2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    b1, b2, m, v = hyper.beta1, hyper.beta2, state.m, state.v
+    m *= b1
+    m += (1 - b1) * g
+    gg = (1 - b2) * g
+    gg *= g
+    v *= b2
+    v += gg
+    m_hat = m / (1 - b1 ** state.t)
+    v_hat = v / (1 - b2 ** state.t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += hyper.epsilon
+    m_hat *= hyper.learning_rate
+    m_hat /= v_hat
+    p -= m_hat
+    start = 0
+    for a in arrays:
+        a[...] = p[start:start + a.size].reshape(a.shape)
+        start += a.size
     return params, state
 
 
@@ -319,7 +348,7 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
             idx = order[start:start + hyper.batch_size]
             grads = backward(params, (x_all[idx], y_all[idx]), hyper.lam)
             adam_step(params, state, grads, hyper)
-        epoch_losses.append(loss(params, (x_all, y_all), hyper.lam))
+        epoch_losses.append(_loss(params, x_all, y_all, hyper.lam))
 
     train_acc, _ = evaluate(params, train_set)
     if test_set is not None:
@@ -349,9 +378,8 @@ def evaluate(params: ModelParams, dataset: Dataset):
     k = params.weights[-1].shape[0]
     x = params.normalizer.apply(dataset.features)
     preds = np.argmax(forward(params, x)[-1], axis=1)
-    confusion = np.zeros((k, k), dtype=int)
-    for true, pred in zip(dataset.labels, preds):
-        confusion[true, pred] += 1
+    confusion = np.bincount(dataset.labels * k + preds,
+                            minlength=k * k).reshape(k, k)
     accuracy = float(np.trace(confusion)) / len(dataset)
     return accuracy, confusion
 

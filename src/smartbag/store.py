@@ -84,10 +84,17 @@ class Store:
         if log_path is not None:
             try:
                 with open(log_path, "rb") as fh:
-                    self._replay(fh.read())
+                    data = fh.read()
             except FileNotFoundError:
-                pass
+                data = b""
+            valid = self._replay(data)
             self._log = open(log_path, "ab")
+            if valid < len(data):
+                # new records must follow the valid prefix, or the next
+                # replay would stop at the torn tail before reaching them
+                logger.warning("store log: discarding %d bytes after offset %d",
+                               len(data) - valid, valid)
+                self._log.truncate(valid)
 
     # -- push ids ---------------------------------------------------------
 
@@ -116,7 +123,8 @@ class Store:
                         + struct.pack("<I", zlib.crc32(payload)))
         self._log.flush()
 
-    def _replay(self, data: bytes) -> None:
+    def _replay(self, data: bytes) -> int:
+        """Apply the longest valid prefix of the log; returns its length."""
         pos = 0
         while True:
             if pos + 4 > len(data):
@@ -132,6 +140,7 @@ class Store:
             record = json.loads(payload.decode("utf-8"))
             self._apply(record)
             pos += 4 + length + 4
+        return pos
 
     def _apply(self, record: dict) -> None:
         path = tuple(record["path"])

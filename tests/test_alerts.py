@@ -64,6 +64,15 @@ class TestRecordFeatures:
         with pytest.raises(RecordSchemaError):
             record_features(record)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_non_finite_field(self, value):
+        record = record_from_features(np.zeros(13))
+        record["env"]["temp"] = value
+        with pytest.raises(RecordSchemaError, match="env.temp"):
+            record_features(record)
+
 
 class TestClassifyRecord:
     def test_zero_model_first_class(self):
@@ -215,6 +224,38 @@ class TestAlertService:
                              record_from_features(idle.mean))
         assert service.poll_once() == 2
         assert service.skipped == 1
+
+    def test_polls_past_nan_record(self, model_file, tmp_path):
+        service, store, log, _ = make_service(model_file, tmp_path)
+        idle = default_profiles()[0]
+        # json.loads accepts NaN, so a stored document can carry one
+        bad = record_from_features(idle.mean)
+        bad["env"]["temp"] = float("nan")
+        store.append_history("bags/BAG1/history", bad)
+        last = store.append_history("bags/BAG1/history",
+                                    record_from_features(idle.mean, sos=1))
+        assert service.poll_once() == 2
+        assert service.skipped == 1
+        assert service.cursor == last
+        assert service.poll_once() == 0
+        assert [e["kind"] for e in log.read()] == ["SOS"]
+
+    def test_torn_cursor_file_starts_without_cursor(self, model_file,
+                                                    tmp_path):
+        for torn in ("", '{"cur', "[]", '{"cursor": 7}'):
+            (tmp_path / "cursor.json").write_text(torn)
+            service, _, _, _ = make_service(model_file, tmp_path)
+            assert service.cursor is None
+
+    def test_cursor_file_replaced_whole(self, model_file, tmp_path):
+        service, store, _, _ = make_service(model_file, tmp_path)
+        idle = default_profiles()[0]
+        last = store.append_history("bags/BAG1/history",
+                                    record_from_features(idle.mean))
+        service.poll_once()
+        assert json.loads((tmp_path / "cursor.json").read_text()) == \
+            {"cursor": last}
+        assert [p.name for p in tmp_path.iterdir()] == ["cursor.json"]
 
     def test_falling_record_emits_activity_alert(self, model_file, tmp_path):
         service, store, log, _ = make_service(model_file, tmp_path)

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ class TestGenerate:
         data = generate(profiles, 5, seed=0)
         for i in range(5):
             assert np.array_equal(data.features[i], profiles[data.labels[i]].mean)
+
+    def test_bit_identical_to_per_row_normal(self):
+        profiles = tuple(replace(p, water_prob=0.3)
+                         for p in default_profiles())
+        for seed in (0, 11):
+            rng = np.random.default_rng(seed)
+            labels = rng.integers(0, len(profiles), size=300)
+            rows = []
+            for lab in labels:
+                prof = profiles[lab]
+                row = rng.normal(prof.mean, prof.std)
+                row[dataset.WATER_COLUMN] = float(rng.random() < prof.water_prob)
+                rows.append(row)
+            data = generate(profiles, 300, seed)
+            assert np.array_equal(data.labels, labels)
+            assert data.features.tobytes() == np.array(rows).tobytes()
 
     def test_same_seed_identical(self):
         a = generate(default_profiles(), 100, seed=11)

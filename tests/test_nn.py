@@ -35,6 +35,14 @@ def finite_difference_grads(params, batch, lam, step=1e-5):
     return grad_w, grad_b
 
 
+def assert_bits_equal(actual, expected):
+    """Same dtype, shape and bytes: stricter than array_equal, which treats
+    -0.0 and 0.0 as equal."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 def max_rel_error(analytic, numeric):
     worst = 0.0
     for a_list, n_list in zip(analytic, numeric):
@@ -128,6 +136,30 @@ class TestForward:
         with pytest.raises(ValueError):
             nn.forward(params, np.zeros(5))
 
+    def test_bit_identical_to_plain_formula(self):
+        rng = np.random.default_rng(21)
+        params = make_params([13, 15, 20, 25, 30, 60, 5], rng)
+        for x in (rng.normal(size=(257, 13)), rng.normal(size=13)):
+            before = x.copy()
+            activations = nn.forward(params, x)
+            assert_bits_equal(x, before)
+            assert activations[0] is x
+            a = x
+            for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+                z = a @ w.T + b
+                if l == len(params.weights) - 1:
+                    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+                    a = e / np.sum(e, axis=-1, keepdims=True)
+                else:
+                    a = np.maximum(z, 0.0)
+                assert_bits_equal(activations[l + 1], a)
+
+    def test_non_finite_logits_rejected(self):
+        params = make_params([3, 4, 2], np.random.default_rng(0))
+        params.weights[-1][0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            nn.forward(params, np.ones(3))
+
 
 class TestLoss:
     def test_uniform_prediction_value(self):
@@ -182,6 +214,17 @@ class TestLoss:
         with pytest.raises(ValueError):
             nn.loss(params, (np.zeros((1, 3)), np.array([[0.5, 0.5]])))
 
+    def test_bit_identical_to_plain_formula(self):
+        rng = np.random.default_rng(17)
+        params = make_params([13, 15, 20, 5], rng, scale=2.0)
+        x = rng.normal(size=(200, 13))
+        y = np.eye(5)[rng.integers(0, 5, size=200)]
+        p = np.clip(nn.forward(params, x)[-1], nn.LOG_CLAMP, 1.0 - nn.LOG_CLAMP)
+        data = -np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)) / 200
+        reg = 0.7 / (2.0 * 200) * sum(float(np.sum(w * w))
+                                      for w in params.weights)
+        assert nn.loss(params, (x, y), 0.7).hex() == float(data + reg).hex()
+
 
 class TestBackward:
     def test_matches_finite_differences(self):
@@ -217,6 +260,23 @@ class TestBackward:
         grads = nn.backward(params, (x, y))
         norm_sq = sum(float(np.sum(g * g)) for part in grads for g in part)
         assert math.sqrt(norm_sq) < 1e-8
+
+    def test_bit_identical_to_plain_formula(self):
+        rng = np.random.default_rng(19)
+        params = make_params([13, 15, 20, 5], rng)
+        x = rng.normal(size=(64, 13))
+        y = np.eye(5)[rng.integers(0, 5, size=64)]
+        grad_w, grad_b = nn.backward(params, (x, y), lam=0.4)
+        acts = nn.forward(params, x)
+        p = acts[-1]
+        pc = np.clip(p, nn.LOG_CLAMP, 1.0 - nn.LOG_CLAMP)
+        g_p = -(y / pc - (1.0 - y) / (1.0 - pc)) / 64
+        dz = p * (g_p - np.sum(g_p * p, axis=1, keepdims=True))
+        for l in range(len(params.weights) - 1, -1, -1):
+            assert_bits_equal(grad_w[l], dz.T @ acts[l]
+                              + (0.4 / 64) * params.weights[l])
+            assert_bits_equal(grad_b[l], dz.sum(axis=0))
+            dz = (dz @ params.weights[l]) * (acts[l] > 0)
 
 
 class TestAdam:
@@ -259,6 +319,32 @@ class TestAdam:
             results.append([w.copy() for w in params.weights])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+    def test_bit_identical_to_textbook_formula(self):
+        rng = np.random.default_rng(6)
+        hyper = nn.Hyperparams(learning_rate=0.01)
+        b1, b2 = hyper.beta1, hyper.beta2
+        lr, eps = hyper.learning_rate, hyper.epsilon
+        params = make_params([4, 6, 3], rng)
+        state = nn.AdamState.zeros_like(params)
+        ref = params.copy()
+        arrays = ref.weights + ref.biases
+        ms = [np.zeros_like(a) for a in arrays]
+        vs = [np.zeros_like(a) for a in arrays]
+        for t in range(1, 6):
+            grads = make_params([4, 6, 3], rng)
+            nn.adam_step(params, state, (grads.weights, grads.biases), hyper)
+            for i, g in enumerate(grads.weights + grads.biases):
+                ms[i] = b1 * ms[i] + (1 - b1) * g
+                vs[i] = b2 * vs[i] + (1 - b2) * g * g
+                m_hat = ms[i] / (1 - b1 ** t)
+                v_hat = vs[i] / (1 - b2 ** t)
+                arrays[i] = arrays[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.t == 5
+        for got, want in zip(params.weights + params.biases, arrays):
+            assert_bits_equal(got, want)
+        assert_bits_equal(state.m, np.concatenate([m.ravel() for m in ms]))
+        assert_bits_equal(state.v, np.concatenate([v.ravel() for v in vs]))
 
     def test_shape_mismatch(self):
         params = make_params([3, 4, 2], np.random.default_rng(0))
@@ -378,6 +464,20 @@ class TestPredictEvaluate:
         accuracy, confusion = nn.evaluate(model, data)
         if accuracy == 1.0:
             assert np.array_equal(np.diag(np.diag(confusion)), confusion)
+
+    def test_confusion_equals_loop_count(self):
+        rng = np.random.default_rng(14)
+        params = make_params([13, 6, 5], rng)
+        # classes 3 and 4 never occur as labels
+        data = Dataset(rng.normal(size=(60, 13)), rng.integers(0, 3, size=60))
+        accuracy, confusion = nn.evaluate(params, data)
+        preds = np.argmax(nn.forward(params, data.features)[-1], axis=1)
+        expected = np.zeros((5, 5), dtype=int)
+        for true, pred in zip(data.labels, preds):
+            expected[true, pred] += 1
+        assert confusion.dtype == expected.dtype
+        assert np.array_equal(confusion, expected)
+        assert accuracy == np.trace(expected) / len(data)
 
     def test_evaluate_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,21 @@ class TestDurability:
         reopened = Store(log_path=str(log))
         assert reopened.get("p/x") == {f"k{i}": i for i in range(4)}
 
+    def test_writes_after_torn_tail_survive_restart(self, tmp_path):
+        log = tmp_path / "store.wal"
+        store = Store(log_path=str(log))
+        for i in range(3):
+            store.append_history("h/s", {"i": i})
+        store.close()
+        log.write_bytes(log.read_bytes()[:-3])  # tear the last record
+        store = Store(log_path=str(log))
+        for i in range(3, 6):
+            store.append_history("h/s", {"i": i})
+        store.close()
+        reopened = Store(log_path=str(log))
+        assert [e.doc["i"] for e in reopened.get_history("h/s")] == \
+            [0, 1, 3, 4, 5]
+
     def test_corrupt_interior_record_stops_replay(self, tmp_path):
         log = tmp_path / "store.wal"
         store = Store(log_path=str(log))
