@@ -13,8 +13,8 @@ from pathlib import Path
 
 from smartbag import alerts, dataset, frames, nn
 from smartbag.clock import VirtualClock
-from smartbag.gateway import Gateway, GatewayConfig, HttpStoreClient
-from smartbag.store import Store, StoreServer
+from smartbag.gateway import Gateway, GatewayConfig
+from smartbag.store import HttpStoreClient, Store, StoreServer
 
 workdir = Path(tempfile.mkdtemp(prefix="smartbag_demo_"))
 

@@ -16,15 +16,13 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import requests
 
 from . import nn
 from .clock import RealClock
-from .gateway import StoreUnavailable
+from .store import StoreUnavailable
 
 logger = logging.getLogger(__name__)
-
-# Fixed emission order for events from one record.
-KIND_ORDER = ("SOS", "GAS", "WATER", "ACTIVITY")
 
 SEVERITY = {"SOS": "EMERGENCY", "GAS": "WARN", "WATER": "WARN",
             "ACTIVITY": "EMERGENCY", "ALARM_TRIGGERED": "INFO"}
@@ -73,6 +71,18 @@ class AlarmCommand:
     state: str = "REQUESTED"  # REQUESTED | DELIVERED
 
 
+def request_alarm(store, device: str, now: int) -> tuple:
+    """Raise the device's find-my-bag alarm flag unless it is already up.
+    Returns the outstanding command's issue time and whether this call
+    raised the flag."""
+    path = f"bags/{device}/commands"
+    doc = store.get(path)
+    if doc and doc.get("alarm") == 1:
+        return doc.get("issuedTs", now), False
+    store.patch(path, {"alarm": 1, "issuedTs": now})
+    return now, True
+
+
 _RECORD_FEATURES = (
     ("imu", "ax"), ("imu", "ay"), ("imu", "az"),
     ("imu", "yaw"), ("imu", "pitch"), ("imu", "roll"),
@@ -112,8 +122,8 @@ def classify_record(model, vocabulary, record: dict):
 
 def eval_rules(record: dict, activity: str | None, rules: AlertRuleSet,
                dedup_state: dict, now_ms: int) -> list:
-    """Pure rule evaluation; emits in the fixed kind order, deduplicated
-    per (device, kind) within the window. Thresholds are strict."""
+    """Pure rule evaluation; emits SOS, GAS, WATER, ACTIVITY in that order,
+    deduplicated per (device, kind) within the window. Thresholds are strict."""
     device = record.get("deviceId", "?")
     ts = record.get("ts", now_ms)
     candidates = []
@@ -163,16 +173,12 @@ class WebhookSink:
 
     def __init__(self, url: str, max_tries: int = 3, timeout: float = 5.0,
                  session=None):
-        import requests
-
         self.url = url
         self.max_tries = max_tries
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def deliver(self, event: AlertEvent) -> None:
-        import requests
-
         for attempt in range(self.max_tries):
             try:
                 resp = self.session.post(self.url, json=event.to_json(),
@@ -279,14 +285,9 @@ class AlertService:
         """Request the bag's alarm; a single command stays outstanding per
         device until the gateway acknowledges it."""
         device = self.config.device_id
-        now = self.clock.now_ms()
-        doc = self.store.get(f"bags/{device}/commands")
-        if doc and doc.get("alarm") == 1:
-            if self.outstanding_alarm is None:
-                self.outstanding_alarm = AlarmCommand(device, doc.get("issuedTs", now))
-            return self.outstanding_alarm
-        self.store.patch(f"bags/{device}/commands", {"alarm": 1, "issuedTs": now})
-        self.outstanding_alarm = AlarmCommand(device, now)
+        issued, raised = request_alarm(self.store, device, self.clock.now_ms())
+        if raised or self.outstanding_alarm is None:
+            self.outstanding_alarm = AlarmCommand(device, issued)
         return self.outstanding_alarm
 
     def _check_alarm(self) -> None:

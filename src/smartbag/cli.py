@@ -12,8 +12,8 @@ import sys
 
 from . import alerts, dataset, frames, nn
 from .clock import RealClock
-from .gateway import Gateway, GatewayConfig, HttpStoreClient, StoreUnavailable
-from .store import Store, StoreServer
+from .gateway import Gateway, GatewayConfig
+from .store import HttpStoreClient, Store, StoreServer, StoreUnavailable
 
 
 class OperationalError(Exception):
@@ -179,18 +179,15 @@ def cmd_alerts(args) -> int:
 
 
 def cmd_alarm(args) -> int:
-    client = HttpStoreClient(args.store)
-    now = RealClock().now_ms()
     try:
-        doc = client.get(f"bags/{args.device}/commands")
-        if doc and doc.get("alarm") == 1:
-            print(f"alarm already outstanding for {args.device}")
-            return 0
-        client.patch(f"bags/{args.device}/commands",
-                     {"alarm": 1, "issuedTs": now})
+        _, raised = alerts.request_alarm(HttpStoreClient(args.store),
+                                         args.device, RealClock().now_ms())
     except StoreUnavailable as e:
         raise OperationalError(f"store unreachable: {e}")
-    print(f"alarm requested for {args.device}")
+    if raised:
+        print(f"alarm requested for {args.device}")
+    else:
+        print(f"alarm already outstanding for {args.device}")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Gateway between the frame source and the document store.
 
 Every push period the newest available frame is converted to a JSON
-telemetry record, PATCHed to `bags/<device>/latest` and POSTed to
-`bags/<device>/history`. While the store is unreachable, records queue in
-a bounded drop-oldest buffer and drain in order on recovery. The gateway
-also polls `bags/<device>/commands` for the find-my-bag alarm flag and
-acknowledges it.
+telemetry record and appended to a buffer; one drain loop (`flush`) then
+POSTs each buffered record to `bags/<device>/history` and PATCHes it to
+`bags/<device>/latest`, oldest first, and stops at the first failure. While
+the store is unreachable the buffer keeps the newest `buffer_capacity`
+records and counts the ones it drops. The gateway also polls
+`bags/<device>/commands` for the find-my-bag alarm flag and acknowledges it.
 """
 
 from __future__ import annotations
@@ -16,62 +17,12 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-import requests
-
 from .clock import RealClock
 from .frames import SensorFrame
+# perfbench/pipeline.py imports HttpStoreClient from this module
+from .store import HttpStoreClient, StoreUnavailable  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-
-class StoreUnavailable(Exception):
-    pass
-
-
-class HttpStoreClient:
-    """Thin JSON-over-HTTP client for the document store."""
-
-    def __init__(self, base_url: str, timeout: float = 5.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.session = requests.Session()
-
-    def _request(self, method: str, path: str, doc=None, params=None):
-        url = f"{self.base_url}/{path.strip('/')}.json"
-        try:
-            resp = self.session.request(method, url, json=doc, params=params,
-                                        timeout=self.timeout)
-        except requests.RequestException as e:
-            raise StoreUnavailable(str(e)) from None
-        if resp.status_code == 404:
-            return None
-        if resp.status_code >= 500:
-            raise StoreUnavailable(f"{method} {url}: HTTP {resp.status_code}")
-        if resp.status_code >= 400:
-            raise ValueError(f"{method} {url}: {resp.text}")
-        return resp.json()
-
-    def patch(self, path: str, doc: dict):
-        return self._request("PATCH", path, doc)
-
-    def post(self, path: str, doc: dict):
-        return self._request("POST", path, doc)
-
-    def get(self, path: str, params=None):
-        return self._request("GET", path, params=params)
-
-    def get_history(self, path: str, since=None, limit=None):
-        from .store import HistoryEntry
-
-        params = {}
-        if since is not None:
-            params["since"] = since
-        if limit is not None:
-            params["limit"] = str(limit)
-        entries = self._request("GET", path, params=params or {"limit": "1000000"})
-        if entries is None:
-            return []
-        return [HistoryEntry(e["id"], e["doc"], e["ts"]) for e in entries]
 
 
 def to_record(frame: SensorFrame, recv_ts: int) -> dict:
@@ -118,7 +69,6 @@ class Gateway:
         self.event_log_path = event_log_path
         self.buffer = deque()
         self.dropped = 0
-        self.pushed_latest = 0
         self.pushed_history = 0
         self.alarm_events = []
         self._stop = threading.Event()
@@ -154,39 +104,24 @@ class Gateway:
 
     # -- push loop --------------------------------------------------------
 
-    def _enqueue(self, record: dict) -> None:
-        if len(self.buffer) >= self.config.buffer_capacity:
-            self.buffer.popleft()
-            self.dropped += 1
-        self.buffer.append(record)
-
     def _push(self, record: dict) -> None:
         device = self.config.device_id
         self.store.post(f"bags/{device}/history", record)
         self.pushed_history += 1
         self.store.patch(f"bags/{device}/latest", record)
-        self.pushed_latest += 1
 
     def tick(self) -> None:
         """One push period's worth of work."""
         now = self.clock.now_ms()
         frames = self.source.poll(now)
-        record = to_record(frames[-1], now) if frames else None
-        # drain backlog first so history stays in order
-        while self.buffer:
-            try:
-                self._push(self.buffer[0])
-            except StoreUnavailable:
-                if record is not None:
-                    self._enqueue(record)
-                self._poll_commands(now)
-                return
+        if frames:
+            self.buffer.append(to_record(frames[-1], now))
+        # trim after the drain, so a full buffer drops nothing while the
+        # store is up
+        self.flush()
+        while len(self.buffer) > self.config.buffer_capacity:
             self.buffer.popleft()
-        if record is not None:
-            try:
-                self._push(record)
-            except StoreUnavailable:
-                self._enqueue(record)
+            self.dropped += 1
         self._poll_commands(now)
 
     def run(self, max_ticks: int = None, stop_when_exhausted: bool = False) -> None:
@@ -204,7 +139,7 @@ class Gateway:
         self.flush()
 
     def flush(self) -> None:
-        """Best-effort drain of the buffer (used on shutdown)."""
+        """Push buffered records oldest first until the store fails."""
         while self.buffer:
             try:
                 self._push(self.buffer[0])

@@ -141,12 +141,17 @@ class TrainReport:
     confusion: np.ndarray
 
 
+def _relu_inplace(z):
+    """Elementwise max(z, 0), computed in place in the float array z."""
+    return np.maximum(z, 0.0, out=z)
+
+
 def relu(z):
     """Elementwise max(z, 0)."""
-    z = np.asarray(z, dtype=float)
+    z = np.array(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("relu input must be finite")
-    return np.maximum(z, 0.0)
+    return _relu_inplace(z)
 
 
 def _softmax_inplace(z):
@@ -205,7 +210,7 @@ def forward(params: ModelParams, x):
         if l == n_layers - 1:
             _softmax_inplace(a)
         else:
-            np.maximum(a, 0.0, out=a)
+            _relu_inplace(a)
         activations.append(a)
     return activations
 

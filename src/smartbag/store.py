@@ -6,7 +6,16 @@ log (length-prefixed, CRC32-tailed records) before it is acknowledged, and
 the log is replayed on startup; a truncated or corrupt tail yields the
 longest valid prefix.
 
-HTTP dialect (the `.json` suffix is mandatory):
+Services talk to a store through four client methods, which `Store` and
+`HttpStoreClient` both implement: `patch(path, doc)` returns the merged
+document, `get(path)` returns it or None, `post(path, doc)` appends to a
+history and returns `{"name": push_id}`, and `get_history(path, since=None,
+limit=None)` returns `HistoryEntry`s oldest first. A malformed path raises
+ValueError; an unreachable store raises StoreUnavailable. `Store` copies
+the documents that `patch`, `post` and `get` take and return, so a caller
+never shares state with it; `get_history` entries are shared, read-only.
+
+HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
 
     PATCH /bags/{id}/latest.json          merge body into the document
     GET   /bags/{id}/latest.json          current document or 404
@@ -16,6 +25,7 @@ HTTP dialect (the `.json` suffix is mandatory):
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import re
@@ -25,6 +35,8 @@ import zlib
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import requests
+
 from .clock import RealClock
 
 logger = logging.getLogger(__name__)
@@ -32,7 +44,11 @@ logger = logging.getLogger(__name__)
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
-class StoreError(Exception):
+class StoreError(ValueError):
+    pass
+
+
+class StoreUnavailable(Exception):
     pass
 
 
@@ -159,23 +175,24 @@ class Store:
         if not isinstance(doc, dict):
             raise BadDocument("PATCH body must be a JSON object")
         segments = parse_path(path)
+        doc = copy.deepcopy(doc)
         with self._lock:
             self._log_record({"op": "patch", "path": list(segments), "doc": doc})
             merged = merge_docs(self.docs.get(segments, {}), doc)
             self.docs[segments] = merged
-            return merged
+            return copy.deepcopy(merged)
 
     def get(self, path: str):
         """Last merged document, or None when the path was never written."""
         segments = parse_path(path)
         with self._lock:
-            doc = self.docs.get(segments)
-            return None if doc is None else dict(doc)
+            return copy.deepcopy(self.docs.get(segments))
 
     def append_history(self, path: str, doc: dict) -> str:
         if not isinstance(doc, dict):
             raise BadDocument("history entry must be a JSON object")
         segments = parse_path(path)
+        doc = copy.deepcopy(doc)
         with self._lock:
             push_id = self._next_push_id()
             ts = self.clock.now_ms()
@@ -184,6 +201,9 @@ class Store:
             self.history.setdefault(segments, []).append(
                 HistoryEntry(push_id, doc, ts))
             return push_id
+
+    def post(self, path: str, doc: dict) -> dict:
+        return {"name": self.append_history(path, doc)}
 
     def get_history(self, path: str, since: str | None = None,
                     limit: int | None = None):
@@ -292,13 +312,57 @@ class _Handler(BaseHTTPRequestHandler):
                     for e in entries])
                 return
             doc = self.store.get(path)
-        except (StoreError, ValueError) as e:
+        except ValueError as e:  # StoreError, or a bad limit
             self._reply(400, {"error": str(e)})
             return
         if doc is None:
             self._reply(404, {"error": "not found"})
         else:
             self._reply(200, doc)
+
+
+class HttpStoreClient:
+    """The store's client methods over HTTP."""
+
+    def __init__(self, base_url: str, timeout: float = 5.0):
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
+        self.session = requests.Session()
+
+    def _request(self, method: str, path: str, doc=None, params=None):
+        url = f"{self.base_url}/{path.strip('/')}.json"
+        try:
+            resp = self.session.request(method, url, json=doc, params=params,
+                                        timeout=self.timeout)
+        except requests.RequestException as e:
+            raise StoreUnavailable(str(e)) from None
+        if resp.status_code == 404:
+            return None
+        if resp.status_code >= 500:
+            raise StoreUnavailable(f"{method} {url}: HTTP {resp.status_code}")
+        if resp.status_code >= 400:
+            raise ValueError(f"{method} {url}: {resp.text}")
+        return resp.json()
+
+    def patch(self, path: str, doc: dict):
+        return self._request("PATCH", path, doc)
+
+    def post(self, path: str, doc: dict):
+        return self._request("POST", path, doc)
+
+    def get(self, path: str):
+        return self._request("GET", path)
+
+    def get_history(self, path: str, since=None, limit=None):
+        params = {}
+        if since is not None:
+            params["since"] = since
+        if limit is not None:
+            params["limit"] = str(limit)
+        entries = self._request("GET", path, params=params or {"limit": "1000000"})
+        if entries is None:
+            return []
+        return [HistoryEntry(e["id"], e["doc"], e["ts"]) for e in entries]
 
 
 class StoreServer:
@@ -309,10 +373,6 @@ class StoreServer:
         self.store = store
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self._thread = None
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
 
     @property
     def base_url(self) -> str:

@@ -2,6 +2,39 @@ import pytest
 
 from smartbag import nn
 from smartbag.dataset import default_profiles, generate
+from smartbag.store import Store, StoreUnavailable
+
+
+class FlakyStore(Store):
+    """A real Store whose client methods raise StoreUnavailable while
+    `down` is set, as HttpStoreClient does when the server is unreachable."""
+
+    down = False
+
+    def _check(self):
+        if self.down:
+            raise StoreUnavailable("store down")
+
+    def patch(self, path, doc):
+        self._check()
+        return super().patch(path, doc)
+
+    def get(self, path):
+        self._check()
+        return super().get(path)
+
+    def post(self, path, doc):
+        self._check()
+        return super().post(path, doc)
+
+    def get_history(self, path, since=None, limit=None):
+        self._check()
+        return super().get_history(path, since=since, limit=limit)
+
+
+@pytest.fixture
+def flaky_store():
+    return FlakyStore()
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,8 @@ from smartbag.dataset import default_profiles, generate, split
 from smartbag.frames import (
     FrameError, SensorFrame, TraceSource, encode_frame, parse_frame,
 )
-from smartbag.gateway import Gateway, GatewayConfig, HttpStoreClient
-from smartbag.store import Store, StoreServer
+from smartbag.gateway import Gateway, GatewayConfig
+from smartbag.store import HttpStoreClient, Store, StoreServer
 
 from test_frames import random_frame
 from test_nn import finite_difference_grads, make_params, max_rel_error

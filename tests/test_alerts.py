@@ -26,25 +26,6 @@ def record_from_features(features, device="BAG1", ts=0, sos=0):
     return to_record(frame, ts)
 
 
-class DirectStoreClient:
-    """Adapter giving an in-process Store the HTTP client surface."""
-
-    def __init__(self, store: Store):
-        self.store = store
-
-    def patch(self, path, doc):
-        return self.store.patch(path, doc)
-
-    def post(self, path, doc):
-        return {"name": self.store.append_history(path, doc)}
-
-    def get(self, path):
-        return self.store.get(path)
-
-    def get_history(self, path, since=None, limit=None):
-        return self.store.get_history(path, since=since, limit=limit)
-
-
 class TestRecordFeatures:
     def test_canonical_order(self):
         features = np.arange(13, dtype=float)
@@ -172,11 +153,10 @@ class TestEvalRules:
 
 def make_service(model_file, tmp_path, store=None, **config_kw):
     store = store or Store()
-    client = DirectStoreClient(store)
     log = NotificationLog(str(tmp_path / "notifications.jsonl"))
     clock = VirtualClock(0)
     service = AlertService(
-        client, model_file,
+        store, model_file,
         AlertServiceConfig(device_id="BAG1", **config_kw),
         cursor_path=str(tmp_path / "cursor.json"),
         sinks=[log], clock=clock)
@@ -317,7 +297,6 @@ class TestWebhook:
 
     def test_log_still_written_when_webhook_down(self, model_file, tmp_path):
         store = Store()
-        client = DirectStoreClient(store)
         log = NotificationLog(str(tmp_path / "n.jsonl"))
 
         class FailingSession:
@@ -327,7 +306,7 @@ class TestWebhook:
                 raise requests.ConnectionError("down")
 
         service = AlertService(
-            client, model_file, AlertServiceConfig(device_id="BAG1"),
+            store, model_file, AlertServiceConfig(device_id="BAG1"),
             cursor_path=None,
             sinks=[log, WebhookSink("http://example.invalid/h",
                                     session=FailingSession())],

@@ -3,43 +3,11 @@ import pytest
 
 from smartbag.clock import VirtualClock
 from smartbag.frames import SensorFrame, TraceSource, encode_frame
-from smartbag.gateway import (
-    Gateway, GatewayConfig, StoreUnavailable, to_record,
-)
+from smartbag.gateway import Gateway, GatewayConfig, to_record
 
 from test_frames import random_frame
 
-
-class FakeStoreClient:
-    """In-memory stand-in for the HTTP client with fault injection."""
-
-    def __init__(self):
-        self.down = False
-        self.docs = {}
-        self.history = {}
-        self.patches = []
-        self.posts = []
-
-    def _check(self):
-        if self.down:
-            raise StoreUnavailable("store down")
-
-    def patch(self, path, doc):
-        self._check()
-        self.patches.append((path, doc))
-        merged = {**self.docs.get(path, {}), **doc}
-        self.docs[path] = merged
-        return merged
-
-    def post(self, path, doc):
-        self._check()
-        self.posts.append((path, doc))
-        self.history.setdefault(path, []).append(doc)
-        return {"name": str(len(self.posts))}
-
-    def get(self, path):
-        self._check()
-        return self.docs.get(path)
+HISTORY = "bags/BAG1/history"
 
 
 def trace_lines(n, step_ms=1000, sos_at=None):
@@ -54,15 +22,18 @@ def trace_lines(n, step_ms=1000, sos_at=None):
     return lines
 
 
-def make_gateway(lines, capacity=1024, period=2000, start=0):
+def make_gateway(store, lines, capacity=1024, period=2000, start=0):
     clock = VirtualClock(start)
     source = TraceSource(lines, start_ms=start)
-    store = FakeStoreClient()
     gw = Gateway(source, store,
                  GatewayConfig(device_id="BAG1", period_ms=period,
                                buffer_capacity=capacity),
                  clock=clock)
-    return gw, store, clock
+    return gw, clock
+
+
+def history_seqs(store):
+    return [e.doc["seq"] for e in store.get_history(HISTORY)]
 
 
 class TestToRecord:
@@ -97,80 +68,91 @@ class TestToRecord:
 
 
 class TestPushLoop:
-    def test_push_count_follows_period(self):
-        # 5 frames at 1 Hz, 2 s period, 5 s of running: 2-3 latest patches
-        gw, store, clock = make_gateway(trace_lines(5), period=2000)
+    def test_push_count_follows_period(self, flaky_store):
+        # 5 frames at 1 Hz, 2 s period, 5 s of running: 2-3 pushes, each one
+        # history POST and one latest PATCH
+        gw, clock = make_gateway(flaky_store, trace_lines(5), period=2000)
         end = 5000
         while clock.now_ms() <= end:
             gw.tick()
             clock.advance(2000)
-        latest = [p for p in store.patches if p[0].endswith("latest")]
-        assert 2 <= len(latest) <= 3
+        assert 2 <= len(flaky_store.get_history(HISTORY)) <= 3
 
-    def test_latest_reflects_newest(self):
-        gw, store, clock = make_gateway(trace_lines(4, step_ms=500))
+    def test_latest_reflects_newest(self, flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(4, step_ms=500))
         clock.advance(10_000)
         gw.tick()
-        doc = store.docs["bags/BAG1/latest"]
+        doc = flaky_store.get("bags/BAG1/latest")
         assert doc["seq"] == 3
 
-    def test_outage_then_recovery_preserves_order(self):
-        gw, store, clock = make_gateway(trace_lines(6, step_ms=2000))
-        store.down = True
+    def test_outage_then_recovery_preserves_order(self, flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(6, step_ms=2000))
+        flaky_store.down = True
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        assert store.posts == []
-        store.down = False
+        flaky_store.down = False
+        assert flaky_store.get_history(HISTORY) == []
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        seqs = [doc["seq"] for path, doc in store.posts
-                if path.endswith("history")]
+        seqs = history_seqs(flaky_store)
         assert seqs == sorted(seqs)
         assert set(seqs) == {0, 1, 2, 3, 4, 5}
 
-    def test_bounded_buffer_drops_oldest(self):
-        gw, store, clock = make_gateway(trace_lines(3, step_ms=2000),
-                                        capacity=2)
-        store.down = True
+    def test_bounded_buffer_drops_oldest(self, flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=2000),
+                                 capacity=2)
+        flaky_store.down = True
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
         assert gw.dropped == 1
         assert [r["seq"] for r in gw.buffer] == [1, 2]
-        store.down = False
+        flaky_store.down = False
         gw.flush()
-        seqs = [doc["seq"] for _, doc in store.posts]
-        assert seqs == [1, 2]
+        assert history_seqs(flaky_store) == [1, 2]
 
-    def test_run_stops_when_trace_exhausted(self):
-        gw, store, clock = make_gateway(trace_lines(3, step_ms=1000))
+    def test_full_buffer_drops_nothing_when_store_recovers(self,
+                                                           flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=2000),
+                                 capacity=2)
+        flaky_store.down = True
+        for _ in range(2):
+            gw.tick()
+            clock.advance(2000)
+        assert len(gw.buffer) == 2
+        flaky_store.down = False
+        gw.tick()
+        assert gw.dropped == 0 and not gw.buffer
+        assert history_seqs(flaky_store) == [0, 1, 2]
+
+    def test_run_stops_when_trace_exhausted(self, flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))
         gw.run(stop_when_exhausted=True)
         assert gw.pushed_history >= 1
         assert gw.source.exhausted
 
 
 class TestAlarmAck:
-    def test_ack_resets_flag_and_logs_event(self):
-        gw, store, clock = make_gateway(trace_lines(1))
-        store.docs["bags/BAG1/commands"] = {"alarm": 1, "issuedTs": 0}
+    def test_ack_resets_flag_and_logs_event(self, flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(1))
+        flaky_store.patch("bags/BAG1/commands", {"alarm": 1, "issuedTs": 0})
         gw.tick()
         assert len(gw.alarm_events) == 1
         assert gw.alarm_events[0]["kind"] == "ALARM_TRIGGERED"
-        assert store.docs["bags/BAG1/commands"]["alarm"] == 0
+        assert flaky_store.get("bags/BAG1/commands")["alarm"] == 0
 
-    def test_no_event_without_command(self):
-        gw, store, clock = make_gateway(trace_lines(1))
+    def test_no_event_without_command(self, flaky_store):
+        gw, clock = make_gateway(flaky_store, trace_lines(1))
         gw.tick()
         assert gw.alarm_events == []
 
-    def test_event_log_file(self, tmp_path):
+    def test_event_log_file(self, tmp_path, flaky_store):
         clock = VirtualClock(0)
-        store = FakeStoreClient()
-        store.docs["bags/BAG1/commands"] = {"alarm": 1}
+        flaky_store.patch("bags/BAG1/commands", {"alarm": 1})
         log = tmp_path / "events.jsonl"
-        gw = Gateway(TraceSource([], 0), store, GatewayConfig(),
+        gw = Gateway(TraceSource([], 0), flaky_store, GatewayConfig(),
                      clock=clock, event_log_path=str(log))
         gw.tick()
         assert "ALARM_TRIGGERED" in log.read_text()

@@ -8,7 +8,9 @@ import pytest
 import requests
 
 from smartbag.clock import VirtualClock
-from smartbag.store import BadDocument, BadPath, Store, StoreServer, merge_docs
+from smartbag.store import (
+    BadDocument, BadPath, HttpStoreClient, Store, StoreServer, merge_docs,
+)
 
 
 class TestMerge:
@@ -252,3 +254,57 @@ class TestHttp:
         assert [e["doc"]["n"] for e in after] == [1, 2]
         capped = requests.get(url, params={"limit": "1"}).json()
         assert len(capped) == 1
+
+
+@pytest.fixture(params=["store", "http"])
+def client(request):
+    """Each implementation of the store's client methods."""
+    if request.param == "store":
+        yield Store()
+        return
+    srv = StoreServer(Store()).start()
+    yield HttpStoreClient(srv.base_url)
+    srv.stop()
+
+
+def test_client_contract(client):
+    # merge-PATCH returns the merged document
+    assert client.patch("bags/c/latest", {"a": 1, "n": {"x": 1}}) == \
+        {"a": 1, "n": {"x": 1}}
+    assert client.patch("bags/c/latest", {"n": {"y": 2}}) == \
+        {"a": 1, "n": {"x": 1, "y": 2}}
+    assert client.get("bags/c/latest") == {"a": 1, "n": {"x": 1, "y": 2}}
+    assert client.get("bags/none/latest") is None
+
+    ids = [client.post("bags/c/history", {"i": i})["name"] for i in range(4)]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    history = client.get_history("bags/c/history")
+    assert [e.push_id for e in history] == ids
+    assert [e.doc for e in history] == [{"i": i} for i in range(4)]
+    assert [e.push_id for e in client.get_history(
+        "bags/c/history", since=ids[1])] == ids[2:]
+    assert [e.push_id for e in client.get_history(
+        "bags/c/history", since=ids[0], limit=2)] == ids[1:3]
+    assert [e.push_id for e in client.get_history(
+        "bags/c/history", limit=1)] == ids[:1]
+    assert client.get_history("bags/c/history", since=ids[-1]) == []
+    assert client.get_history("bags/none/history") == []
+
+    bad = "bags/no such/latest"
+    for call in (lambda: client.get(bad), lambda: client.patch(bad, {}),
+                 lambda: client.post(bad, {}),
+                 lambda: client.get_history(bad)):
+        with pytest.raises(ValueError):
+            call()
+
+    # no aliasing: documents passed in or handed out are the caller's own
+    sent = {"n": {"x": 1}}
+    returned = client.patch("bags/d/latest", sent)
+    sent["n"]["x"] = 2
+    returned["n"]["x"] = 3
+    client.get("bags/d/latest")["n"]["x"] = 4
+    assert client.get("bags/d/latest") == {"n": {"x": 1}}
+    entry = {"n": {"x": 1}}
+    client.post("bags/d/history", entry)
+    entry["n"]["x"] = 2
+    assert client.get_history("bags/d/history")[0].doc == {"n": {"x": 1}}
