@@ -16,11 +16,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from . import nn
 from .clock import RealClock
-from .store import StoreUnavailable
+from .store import JsonConnection, StoreUnavailable
 
 logger = logging.getLogger(__name__)
 
@@ -171,22 +170,19 @@ class NotificationLog:
 class WebhookSink:
     """POSTs each event; at most max_tries attempts, failure is non-fatal."""
 
-    def __init__(self, url: str, max_tries: int = 3, timeout: float = 5.0,
-                 session=None):
+    def __init__(self, url: str, max_tries: int = 3, timeout: float = 5.0):
         self.url = url
         self.max_tries = max_tries
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.http = JsonConnection(url, timeout)
 
     def deliver(self, event: AlertEvent) -> None:
-        for attempt in range(self.max_tries):
+        for _ in range(self.max_tries):
             try:
-                resp = self.session.post(self.url, json=event.to_json(),
-                                         timeout=self.timeout)
-                if resp.status_code < 400:
-                    return
-            except requests.RequestException:
-                pass
+                status, _ = self.http.request("POST", doc=event.to_json())
+            except StoreUnavailable:  # the hook is unreachable
+                continue
+            if status < 400:
+                return
         logger.warning("webhook delivery failed after %d tries", self.max_tries)
 
 

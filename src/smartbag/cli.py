@@ -96,6 +96,7 @@ def cmd_store(args) -> int:
     try:
         server = StoreServer(store, host=args.host, port=args.port)
     except OSError as e:
+        store.close()
         raise OperationalError(f"cannot bind {args.host}:{args.port}: {e}")
     print(f"store listening on {server.base_url} (log: {args.log})")
     try:
@@ -105,6 +106,14 @@ def cmd_store(args) -> int:
     finally:
         store.close()
     return 0
+
+
+def _http(client_class, url):
+    """Build an HTTP client; a malformed URL is a usage error."""
+    try:
+        return client_class(url)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _make_source(args, clock):
@@ -123,7 +132,7 @@ def _run_gateway(args, stop_when_exhausted: bool) -> int:
         raise OperationalError(str(e))
     gw = Gateway(
         source,
-        HttpStoreClient(args.store),
+        _http(HttpStoreClient, args.store),
         GatewayConfig(device_id=args.device, period_ms=args.period,
                       buffer_capacity=args.buffer),
         clock=clock,
@@ -163,10 +172,10 @@ def cmd_alerts(args) -> int:
     sinks = [alerts.NotificationLog(args.log)]
     webhook = overrides.get("webhook_url", args.webhook)
     if webhook:
-        sinks.append(alerts.WebhookSink(webhook))
+        sinks.append(_http(alerts.WebhookSink, webhook))
     try:
         service = alerts.AlertService(
-            HttpStoreClient(args.store), args.model, config,
+            _http(HttpStoreClient, args.store), args.model, config,
             cursor_path=args.cursor, sinks=sinks)
     except (OSError, nn.ModelFormatError) as e:
         raise OperationalError(f"cannot load model {args.model}: {e}")
@@ -179,11 +188,14 @@ def cmd_alerts(args) -> int:
 
 
 def cmd_alarm(args) -> int:
+    client = _http(HttpStoreClient, args.store)
     try:
-        _, raised = alerts.request_alarm(HttpStoreClient(args.store),
-                                         args.device, RealClock().now_ms())
+        _, raised = alerts.request_alarm(client, args.device,
+                                         RealClock().now_ms())
     except StoreUnavailable as e:
         raise OperationalError(f"store unreachable: {e}")
+    finally:
+        client.close()
     if raised:
         print(f"alarm requested for {args.device}")
     else:

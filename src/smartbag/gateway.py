@@ -3,7 +3,8 @@
 Every push period the newest available frame is converted to a JSON
 telemetry record and appended to a buffer; one drain loop (`flush`) then
 POSTs each buffered record to `bags/<device>/history` and PATCHes it to
-`bags/<device>/latest`, oldest first, and stops at the first failure. While
+`bags/<device>/latest`, oldest first, and stops at the first failure; a
+record whose POST landed is not posted again when only its PATCH failed. While
 the store is unreachable the buffer keeps the newest `buffer_capacity`
 records and counts the ones it drops. The gateway also polls
 `bags/<device>/commands` for the find-my-bag alarm flag and acknowledges it.
@@ -70,6 +71,7 @@ class Gateway:
         self.buffer = deque()
         self.dropped = 0
         self.pushed_history = 0
+        self._posted = None  # the buffered record whose POST has landed
         self.alarm_events = []
         self._stop = threading.Event()
 
@@ -106,8 +108,10 @@ class Gateway:
 
     def _push(self, record: dict) -> None:
         device = self.config.device_id
-        self.store.post(f"bags/{device}/history", record)
-        self.pushed_history += 1
+        if record is not self._posted:
+            self.store.post(f"bags/{device}/history", record)
+            self.pushed_history += 1
+            self._posted = record
         self.store.patch(f"bags/{device}/latest", record)
 
     def tick(self) -> None:
@@ -120,8 +124,8 @@ class Gateway:
         # store is up
         self.flush()
         while len(self.buffer) > self.config.buffer_capacity:
-            self.buffer.popleft()
-            self.dropped += 1
+            if self.buffer.popleft() is not self._posted:  # else in history
+                self.dropped += 1
         self._poll_commands(now)
 
     def run(self, max_ticks: int = None, stop_when_exhausted: bool = False) -> None:

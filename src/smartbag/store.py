@@ -15,6 +15,14 @@ ValueError; an unreachable store raises StoreUnavailable. `Store` copies
 the documents that `patch`, `post` and `get` take and return, so a caller
 never shares state with it; `get_history` entries are shared, read-only.
 
+Transport: `HttpStoreClient` (and the alert webhook) sends each request
+through a `JsonConnection`, one kept-alive HTTP/1.1 connection per client
+object, built on the standard library's `http.client`. A client is not
+shared between threads; give each thread its own. A request is never sent
+twice on the client's own initiative: a refused, reset or timed-out
+exchange and any 5xx reply raise StoreUnavailable, and the caller decides
+whether to retry.
+
 HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
 
     PATCH /bags/{id}/latest.json          merge body into the document
@@ -29,19 +37,24 @@ import copy
 import json
 import logging
 import re
+import select
+import socket
 import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import requests
+from urllib.parse import quote, urlencode, urlsplit
 
 from .clock import RealClock
 
 logger = logging.getLogger(__name__)
 
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+
+# the largest request body the server reads; a longer one gets 413
+MAX_BODY_BYTES = 1 << 20
 
 
 class StoreError(ValueError):
@@ -236,9 +249,11 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         logger.debug("http: " + fmt, *args)
 
-    def _reply(self, code: int, body) -> None:
+    def _reply(self, code: int, body, close: bool = False) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(code)
+        if close:
+            self.send_header("Connection", "close")  # also ends handle()
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -257,7 +272,19 @@ class _Handler(BaseHTTPRequestHandler):
         return path[:-len(".json")], params
 
     def _read_doc(self):
-        length = int(self.headers.get("Content-Length", 0))
+        # a body left unread would be parsed as the next request, so each
+        # refusal here also closes the connection
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reply(400, {"error": "bad Content-Length"}, close=True)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"},
+                        close=True)
+            return None
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw.decode("utf-8"))
@@ -321,28 +348,72 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, doc)
 
 
+class JsonConnection:
+    """JSON requests to one http(s) URL over one kept-alive connection.
+
+    Paths given to `request` are appended to the URL's path and
+    percent-quoted. Not safe to share between threads.
+    """
+
+    # characters left as they are in a request path; `%` keeps an escape
+    # already in the URL from being quoted twice
+    _PATH_SAFE = "/%!$&'()*+,;=:@~"
+
+    def __init__(self, url: str, timeout: float = 5.0):
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        conn_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        self._prefix = parts.path.rstrip("/")
+        self._query = parts.query
+        self._conn = conn_class(parts.hostname, parts.port, timeout=timeout)
+
+    def request(self, method: str, path: str = "", doc=None, query=None):
+        """Send one request with `doc` as its JSON body; returns the reply's
+        (status, body bytes). Raises StoreUnavailable when the exchange
+        fails, without sending the request again."""
+        target = quote(self._prefix + path, safe=self._PATH_SAFE) or "/"
+        query = "&".join(q for q in (self._query, urlencode(query or {})) if q)
+        if query:
+            target += "?" + query
+        body, headers = None, {}
+        if doc is not None:
+            body = json.dumps(doc).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        sock = self._conn.sock
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            # an idle kept-alive socket that reads ready was closed by the
+            # peer; open a new one rather than send into it
+            self._conn.close()
+        try:
+            self._conn.request(method, target, body=body, headers=headers)
+            resp = self._conn.getresponse()
+            return resp.status, resp.read()
+        except (OSError, HTTPException) as e:
+            self._conn.close()
+            raise StoreUnavailable(f"{method} {target}: {e!r}") from None
+
+    def close(self) -> None:
+        self._conn.close()
+
+
 class HttpStoreClient:
     """The store's client methods over HTTP."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.session = requests.Session()
+        self.http = JsonConnection(base_url, timeout)
 
-    def _request(self, method: str, path: str, doc=None, params=None):
-        url = f"{self.base_url}/{path.strip('/')}.json"
-        try:
-            resp = self.session.request(method, url, json=doc, params=params,
-                                        timeout=self.timeout)
-        except requests.RequestException as e:
-            raise StoreUnavailable(str(e)) from None
-        if resp.status_code == 404:
+    def _request(self, method: str, path: str, doc=None, query=None):
+        path = f"/{path.strip('/')}.json"
+        status, body = self.http.request(method, path, doc, query)
+        if status == 404:
             return None
-        if resp.status_code >= 500:
-            raise StoreUnavailable(f"{method} {url}: HTTP {resp.status_code}")
-        if resp.status_code >= 400:
-            raise ValueError(f"{method} {url}: {resp.text}")
-        return resp.json()
+        if status >= 500:
+            raise StoreUnavailable(f"{method} {path}: HTTP {status}")
+        if status >= 400:
+            raise ValueError(f"{method} {path}: "
+                             f"{body.decode('utf-8', 'replace')}")
+        return json.loads(body)
 
     def patch(self, path: str, doc: dict):
         return self._request("PATCH", path, doc)
@@ -354,15 +425,48 @@ class HttpStoreClient:
         return self._request("GET", path)
 
     def get_history(self, path: str, since=None, limit=None):
-        params = {}
+        query = {}
         if since is not None:
-            params["since"] = since
+            query["since"] = since
         if limit is not None:
-            params["limit"] = str(limit)
-        entries = self._request("GET", path, params=params or {"limit": "1000000"})
+            query["limit"] = str(limit)
+        entries = self._request("GET", path, query=query or {"limit": "1000000"})
         if entries is None:
             return []
         return [HistoryEntry(e["id"], e["doc"], e["ts"]) for e in entries]
+
+    def close(self) -> None:
+        self.http.close()
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """Ends its open connections when it closes: a handler thread otherwise
+    keeps serving a kept-alive connection, and the store behind it, until
+    the client hangs up."""
+
+    def __init__(self, address, handler):
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._connections_lock:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client hung up already
+                    pass
 
 
 class StoreServer:
@@ -371,7 +475,7 @@ class StoreServer:
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundHandler", (_Handler,), {"store": store})
         self.store = store
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _HttpServer((host, port), handler)
         self._thread = None
 
     @property

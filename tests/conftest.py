@@ -1,3 +1,6 @@
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from smartbag import nn
@@ -35,6 +38,55 @@ class FlakyStore(Store):
 @pytest.fixture
 def flaky_store():
     return FlakyStore()
+
+
+class CountingServer:
+    """A local HTTP server that records each request as (method, path,
+    body) and answers it with `status`, or hangs up without a reply while
+    `status` is None."""
+
+    def __init__(self):
+        self.status = None
+        self.requests = []
+        owner = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def handle_any(self):
+                length = int(self.headers.get("Content-Length", 0))
+                owner.requests.append(
+                    (self.command, self.path, self.rfile.read(length)))
+                if owner.status is None:
+                    self.close_connection = True
+                    return
+                self.send_response(owner.status)
+                self.send_header("Content-Length", "2")
+                self.end_headers()
+                self.wfile.write(b"{}")
+
+            do_GET = do_POST = do_PATCH = handle_any
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = "http://127.0.0.1:%d" % self.httpd.server_address[1]
+        self._thread = threading.Thread(target=self.httpd.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self._thread.join(timeout=5)
+
+
+@pytest.fixture
+def counting_server():
+    server = CountingServer()
+    yield server
+    server.close()
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,9 @@ import pytest
 
 from smartbag import nn
 from smartbag.alerts import (
-    AlertRuleSet, AlertService, AlertServiceConfig, NotificationLog,
-    RecordSchemaError, WebhookSink, classify_record, eval_rules,
-    record_features,
+    AlertEvent, AlertRuleSet, AlertService, AlertServiceConfig,
+    NotificationLog, RecordSchemaError, WebhookSink, classify_record,
+    eval_rules, record_features,
 )
 from smartbag.clock import VirtualClock
 from smartbag.dataset import FEATURE_NAMES, default_profiles
@@ -278,44 +278,39 @@ class TestAlarm:
 
 
 class TestWebhook:
-    def test_retries_then_gives_up(self, model_file, tmp_path):
-        calls = []
+    # counting_server hangs up on every request until its status is set
 
-        class FailingSession:
-            def post(self, url, json=None, timeout=None):
-                calls.append(url)
-                import requests
-
-                raise requests.ConnectionError("down")
-
-        sink = WebhookSink("http://example.invalid/hook", max_tries=3,
-                           session=FailingSession())
-        from smartbag.alerts import AlertEvent
-
+    def test_retries_then_gives_up(self, counting_server):
+        sink = WebhookSink(counting_server.url + "/hook", max_tries=3)
         sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
-        assert len(calls) == 3
+        sink.http.close()
+        assert len(counting_server.requests) == 3
 
-    def test_log_still_written_when_webhook_down(self, model_file, tmp_path):
+    def test_delivers_once_to_the_hook_url(self, counting_server):
+        counting_server.status = 204
+        sink = WebhookSink(counting_server.url + "/hooks/a b?key=x%2Fy")
+        event = AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test")
+        sink.deliver(event)
+        sink.http.close()
+        [(method, path, body)] = counting_server.requests
+        assert (method, path) == ("POST", "/hooks/a%20b?key=x%2Fy")
+        assert json.loads(body) == event.to_json()
+
+    def test_log_still_written_when_webhook_down(self, model_file, tmp_path,
+                                                 counting_server):
         store = Store()
         log = NotificationLog(str(tmp_path / "n.jsonl"))
-
-        class FailingSession:
-            def post(self, url, json=None, timeout=None):
-                import requests
-
-                raise requests.ConnectionError("down")
-
+        hook = WebhookSink(counting_server.url + "/h")
         service = AlertService(
             store, model_file, AlertServiceConfig(device_id="BAG1"),
-            cursor_path=None,
-            sinks=[log, WebhookSink("http://example.invalid/h",
-                                    session=FailingSession())],
-            clock=VirtualClock(0))
+            cursor_path=None, sinks=[log, hook], clock=VirtualClock(0))
         idle = default_profiles()[0]
         store.append_history("bags/BAG1/history",
                              record_from_features(idle.mean, sos=1))
         service.poll_once()
+        hook.http.close()
         assert [e["kind"] for e in log.read()] == ["SOS"]
+        assert len(counting_server.requests) == 3
 
 
 class TestNotificationLogFormat:

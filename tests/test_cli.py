@@ -1,4 +1,8 @@
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,7 +85,11 @@ class TestHelp:
 
 
 class TestServices:
-    def test_store_port_conflict(self, tmp_path, capsys):
+    def test_store_port_conflict(self, tmp_path, capsys, monkeypatch):
+        closed = []
+        close = Store.close
+        monkeypatch.setattr(Store, "close",
+                            lambda store: closed.append(store) or close(store))
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
@@ -91,6 +99,7 @@ class TestServices:
         finally:
             sock.close()
         assert code == 1
+        assert len(closed) == 1 and closed[0]._log is None
 
     def test_alarm_against_live_store(self, capsys):
         server = StoreServer(Store()).start()
@@ -107,3 +116,20 @@ class TestServices:
     def test_alarm_store_unreachable(self):
         assert main(["alarm", "BAG1", "--store",
                      "http://127.0.0.1:9"]) == 1
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1:8450", "127.0.0.1:8450"])
+    def test_alarm_malformed_store_url(self, url, capsys):
+        assert main(["alarm", "BAG1", "--store", url]) == 2
+        assert "http(s) URL" in capsys.readouterr().err
+
+
+def test_requests_not_imported():
+    """The services reach the store through the standard library alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c",
+                    "import smartbag.cli, sys; "
+                    "assert 'requests' not in sys.modules"],
+                   env=env, check=True, timeout=60)

@@ -4,7 +4,9 @@ import pytest
 from smartbag.clock import VirtualClock
 from smartbag.frames import SensorFrame, TraceSource, encode_frame
 from smartbag.gateway import Gateway, GatewayConfig, to_record
+from smartbag.store import StoreUnavailable
 
+from conftest import FlakyStore
 from test_frames import random_frame
 
 HISTORY = "bags/BAG1/history"
@@ -34,6 +36,21 @@ def make_gateway(store, lines, capacity=1024, period=2000, start=0):
 
 def history_seqs(store):
     return [e.doc["seq"] for e in store.get_history(HISTORY)]
+
+
+class LatestPatchFails(FlakyStore):
+    """Fails the first `failures` PATCHes of `latest`; the POSTs before
+    them land."""
+
+    def __init__(self, failures):
+        super().__init__()
+        self.failures = failures
+
+    def patch(self, path, doc):
+        if path.endswith("/latest") and self.failures:
+            self.failures -= 1
+            raise StoreUnavailable("latest PATCH lost")
+        return super().patch(path, doc)
 
 
 class TestToRecord:
@@ -126,6 +143,25 @@ class TestPushLoop:
         gw.tick()
         assert gw.dropped == 0 and not gw.buffer
         assert history_seqs(flaky_store) == [0, 1, 2]
+
+    def test_failed_latest_patch_does_not_repost(self):
+        store = LatestPatchFails(failures=1)
+        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000))
+        for _ in range(3):
+            gw.tick()
+            clock.advance(2000)
+        assert history_seqs(store) == [0, 1, 2]
+        assert store.get("bags/BAG1/latest")["seq"] == 2
+
+    def test_trimmed_record_already_posted_is_not_dropped(self):
+        store = LatestPatchFails(failures=2)
+        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000),
+                                 capacity=1)
+        for _ in range(3):
+            gw.tick()
+            clock.advance(2000)
+        assert history_seqs(store) == [0, 1, 2]
+        assert gw.dropped == 0
 
     def test_run_stops_when_trace_exhausted(self, flaky_store):
         gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))

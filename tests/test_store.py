@@ -1,4 +1,5 @@
 import json
+import socket
 import struct
 import threading
 import zlib
@@ -9,7 +10,8 @@ import requests
 
 from smartbag.clock import VirtualClock
 from smartbag.store import (
-    BadDocument, BadPath, HttpStoreClient, Store, StoreServer, merge_docs,
+    MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
+    StoreUnavailable, merge_docs,
 )
 
 
@@ -255,6 +257,105 @@ class TestHttp:
         capped = requests.get(url, params={"limit": "1"}).json()
         assert len(capped) == 1
 
+    @pytest.mark.parametrize("length, status", [
+        ("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_refused(self, server, length, status):
+        host, port = server.httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(f"POST /bags/b1/history.json HTTP/1.1\r\n"
+                         f"Host: {host}\r\nContent-Length: {length}\r\n"
+                         f"\r\n".encode())
+            # read to EOF: the server must close, since the body it did
+            # not read would otherwise be parsed as the next request
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in reply
+        assert server.store.get_history("bags/b1/history") == []
+        url = f"{server.base_url}/bags/b1/history.json"
+        assert requests.post(url, json={"n": 1}).status_code == 200
+
+
+def unused_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def make_client():
+    """HttpStoreClient factory; closes what it made after the test."""
+    clients = []
+
+    def make(url, **kwargs):
+        clients.append(HttpStoreClient(url, **kwargs))
+        return clients[-1]
+
+    yield make
+    for client in clients:
+        client.close()
+
+
+class TestHttpClientFailures:
+    def test_connection_refused(self, make_client):
+        client = make_client(f"http://127.0.0.1:{unused_port()}")
+        with pytest.raises(StoreUnavailable):
+            client.get("bags/a/latest")
+
+    @pytest.mark.parametrize("status", [500, 503])
+    def test_server_error(self, counting_server, make_client, status):
+        counting_server.status = status
+        client = make_client(counting_server.url)
+        for call in (lambda: client.get("bags/a/latest"),
+                     lambda: client.patch("bags/a/latest", {}),
+                     lambda: client.post("bags/a/history", {}),
+                     lambda: client.get_history("bags/a/history")):
+            with pytest.raises(StoreUnavailable):
+                call()
+
+    def test_read_timeout(self, make_client):
+        with socket.socket() as listener:  # accepts, never answers
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            client = make_client(
+                "http://127.0.0.1:%d" % listener.getsockname()[1],
+                timeout=0.2)
+            with pytest.raises(StoreUnavailable):
+                client.get("bags/a/latest")
+
+    @pytest.mark.parametrize("status", [None, 500])
+    def test_failed_post_sent_once(self, counting_server, make_client,
+                                   status):
+        counting_server.status = status
+        client = make_client(counting_server.url)
+        with pytest.raises(StoreUnavailable):
+            client.post("bags/a/history", {"n": 1})
+        assert len(counting_server.requests) == 1
+        counting_server.status = 200
+        assert client.post("bags/a/history", {"n": 2}) == {}
+        assert [r[2] for r in counting_server.requests] == \
+            [b'{"n": 1}', b'{"n": 2}']
+
+    def test_store_restart_on_same_port(self, tmp_path, make_client):
+        log = str(tmp_path / "s.wal")
+        first = StoreServer(Store(log_path=log)).start()
+        port = first.httpd.server_address[1]
+        client = make_client(first.base_url)
+        client.patch("bags/a/latest", {"v": 1})
+        first.stop()
+        second = StoreServer(Store(log_path=log), port=port).start()
+        try:
+            # the kept-alive connection died with the first server; the
+            # write must reach the running store and its log
+            assert client.patch("bags/a/latest", {"w": 2}) == {"v": 1, "w": 2}
+            assert second.store.get("bags/a/latest") == {"v": 1, "w": 2}
+        finally:
+            second.stop()
+        replayed = Store(log_path=log)
+        assert replayed.get("bags/a/latest") == {"v": 1, "w": 2}
+        replayed.close()
+
 
 @pytest.fixture(params=["store", "http"])
 def client(request):
@@ -263,7 +364,9 @@ def client(request):
         yield Store()
         return
     srv = StoreServer(Store()).start()
-    yield HttpStoreClient(srv.base_url)
+    client = HttpStoreClient(srv.base_url)
+    yield client
+    client.close()
     srv.stop()
 
 
