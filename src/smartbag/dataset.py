@@ -220,7 +220,8 @@ WATER_COLUMN = FEATURE_NAMES.index("water")
 def generate(profiles, n: int, seed: int) -> Dataset:
     """Draw n rows with uniform class labels and per-profile Gaussian features.
 
-    The water column is Bernoulli per profile. Deterministic given seed.
+    The water column is Bernoulli per profile. Deterministic given seed:
+    each row draws its 13 normals, then one uniform for the water column.
     """
     profiles = tuple(profiles)
     k = len(profiles)
@@ -229,11 +230,13 @@ def generate(profiles, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=n)
     features = np.empty((n, N_FEATURES))
-    for lab, row in zip(labels, features):
-        prof = profiles[lab]
+    water_draws = np.empty(n)
+    for i, row in enumerate(features):
         rng.standard_normal(out=row)
-        row *= prof.std
-        row += prof.mean
-        row[WATER_COLUMN] = float(rng.random() < prof.water_prob)
+        water_draws[i] = rng.random()
+    features *= np.array([p.std for p in profiles])[labels]
+    features += np.array([p.mean for p in profiles])[labels]
+    features[:, WATER_COLUMN] = (
+        water_draws < np.array([p.water_prob for p in profiles])[labels])
     classes = tuple(p.name for p in profiles)
     return Dataset(features, labels, classes)

@@ -3,6 +3,15 @@
 Forward pass, per-unit binary cross-entropy cost with optional L2 penalty,
 exact backpropagation, Adam updates, a deterministic mini-batch training
 loop, and a compact binary model file ("BAGM1") for deployment.
+
+`train` keeps every parameter in one flat float64 array: all weights in
+layer order, then all biases in layer order, each weight matrix row-major.
+The weights and biases of the model it builds are views into that array,
+and the gradients live in a second flat array laid out the same way, so
+`backward` writes into them and Adam updates the whole array in place. The
+public `backward` and `adam_step` run the same kernels on arrays of their
+own. A speed-up of this module must keep every floating-point operation and
+its order, so that exported models stay byte-identical for the same seed.
 """
 
 from __future__ import annotations
@@ -158,11 +167,11 @@ def _softmax_inplace(z):
     """Softmax over the last axis, computed in place in the float array z."""
     if z.size == 0:
         raise ValueError("softmax input must be non-empty")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("softmax input must be finite")
-    z -= np.max(z, axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -239,23 +248,39 @@ def loss(params: ModelParams, batch, lam: float = 0.0) -> float:
         raise ValueError("empty batch")
     if not np.all((y == 0) | (y == 1)) or not np.allclose(y.sum(axis=1), 1.0):
         raise ValueError("labels must be one-hot")
-    return _loss(params, x, y, lam)
+    return _loss(params, forward(params, x)[-1], y, lam)
 
 
-def _loss(params: ModelParams, x, y, lam: float) -> float:
-    """`loss` for a non-empty batch whose y is known to be one-hot."""
-    m = x.shape[0]
-    p = forward(params, x)[-1]
-    np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP, out=p)
+def _loss(params: ModelParams, probs, y, lam: float) -> float:
+    """`loss` from the network outputs for a non-empty batch whose y is
+    known to be one-hot; probs is left as it was."""
+    m = probs.shape[0]
+    p = np.clip(probs, LOG_CLAMP, 1.0 - LOG_CLAMP)
     q = 1.0 - p
     np.log(p, out=p)
     np.log(q, out=q)
     p *= y
     q *= 1.0 - y
     p += q
-    data = -np.sum(p) / m
-    reg = lam / (2.0 * m) * sum(float(np.sum(w * w)) for w in params.weights)
-    return float(data + reg)
+    total = -np.sum(p) / m
+    if lam:
+        total += lam / (2.0 * m) * sum(float(np.sum(w * w))
+                                       for w in params.weights)
+    return float(total)
+
+
+def _param_views(flat, sizes):
+    """Weights, then biases, of a network with these layer sizes, as views
+    into the flat array that holds them end to end."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[start:start + fan_out * fan_in]
+                       .reshape(fan_out, fan_in))
+        start += fan_out * fan_in
+    for fan_out in sizes[1:]:
+        biases.append(flat[start:start + fan_out])
+        start += fan_out
+    return weights, biases
 
 
 def backward(params: ModelParams, batch, lam: float = 0.0):
@@ -264,27 +289,32 @@ def backward(params: ModelParams, batch, lam: float = 0.0):
     Returns (weight_grads, bias_grads) shaped like the parameters.
     """
     x, y = _batch_xy(params, batch)
-    m = x.shape[0]
-    if m == 0:
+    if x.shape[0] == 0:
         raise ValueError("empty batch")
+    grad_w = [np.empty_like(w) for w in params.weights]
+    grad_b = [np.empty_like(b) for b in params.biases]
+    _backward_into(params, x, y, lam, grad_w, grad_b)
+    return grad_w, grad_b
+
+
+def _backward_into(params: ModelParams, x, y, lam: float, grad_w, grad_b):
+    """`backward` for a non-empty batch, written into the given arrays."""
+    m = x.shape[0]
     activations = forward(params, x)
     p = activations[-1]
     pc = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
     # d(data loss)/dp, then through the softmax Jacobian.
     g_p = -(y / pc - (1.0 - y) / (1.0 - pc)) / m
-    dz = p * (g_p - np.sum(g_p * p, axis=1, keepdims=True))
+    dz = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
 
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
-        a_prev = activations[l]
-        grad_w[l] = dz.T @ a_prev
-        grad_w[l] += (lam / m) * params.weights[l]
-        grad_b[l] = dz.sum(axis=0)
+        np.matmul(dz.T, activations[l], out=grad_w[l])
+        if lam:
+            grad_w[l] += (lam / m) * params.weights[l]
+        dz.sum(axis=0, out=grad_b[l])
         if l > 0:
             dz = dz @ params.weights[l]
             dz *= activations[l] > 0
-    return grad_w, grad_b
 
 
 def adam_step(params: ModelParams, state: AdamState, grads, hyper: Hyperparams):
@@ -298,8 +328,18 @@ def adam_step(params: ModelParams, state: AdamState, grads, hyper: Hyperparams):
     arrays, grad_arrays = params.weights + params.biases, [*grad_w, *grad_b]
     if any(a.shape != ga.shape for a, ga in zip(arrays, grad_arrays)):
         raise ValueError("gradient shape mismatch")
-    p = np.concatenate([a.ravel() for a in arrays])
-    g = np.concatenate([ga.ravel() for ga in grad_arrays])
+    flat = np.concatenate([a.ravel() for a in arrays])
+    _adam_update(flat, np.concatenate([ga.ravel() for ga in grad_arrays]),
+                 state, hyper)
+    new_weights, new_biases = _param_views(flat, params.layer_sizes)
+    for a, new in zip(arrays, new_weights + new_biases):
+        a[...] = new
+    return params, state
+
+
+def _adam_update(p, g, state: AdamState, hyper: Hyperparams):
+    """`adam_step` on the flat parameter array p, in place, given the flat
+    gradient g laid out the same way."""
     state.t += 1
     b1, b2, m, v = hyper.beta1, hyper.beta2, state.m, state.v
     m *= b1
@@ -315,11 +355,6 @@ def adam_step(params: ModelParams, state: AdamState, grads, hyper: Hyperparams):
     m_hat *= hyper.learning_rate
     m_hat /= v_hat
     p -= m_hat
-    start = 0
-    for a in arrays:
-        a[...] = p[start:start + a.size].reshape(a.shape)
-        start += a.size
-    return params, state
 
 
 def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
@@ -343,6 +378,10 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
 
     rng = np.random.default_rng(hyper.seed)
     params = init_params(spec, rng, normalizer=norm)
+    flat = np.concatenate([a.ravel() for a in params.weights + params.biases])
+    params.weights, params.biases = _param_views(flat, spec.layer_sizes)
+    flat_grads = np.empty_like(flat)
+    grad_w, grad_b = _param_views(flat_grads, spec.layer_sizes)
     state = AdamState.zeros_like(params)
 
     n = len(train_set)
@@ -351,15 +390,18 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
-            grads = backward(params, (x_all[idx], y_all[idx]), hyper.lam)
-            adam_step(params, state, grads, hyper)
-        epoch_losses.append(_loss(params, x_all, y_all, hyper.lam))
+            _backward_into(params, x_all[idx], y_all[idx], hyper.lam,
+                           grad_w, grad_b)
+            _adam_update(flat, flat_grads, state, hyper)
+        probs = forward(params, x_all)[-1]
+        epoch_losses.append(_loss(params, probs, y_all, hyper.lam))
 
-    train_acc, _ = evaluate(params, train_set)
+    # the last epoch's outputs are those evaluate would compute again
+    train_acc, confusion = _score(probs.argmax(axis=1), train_set.labels,
+                                  spec.output_width)
+    test_acc = None
     if test_set is not None:
         test_acc, confusion = evaluate(params, test_set)
-    else:
-        test_acc, (_, confusion) = None, evaluate(params, train_set)
     return params, TrainReport(epoch_losses, train_acc, test_acc, confusion)
 
 
@@ -380,13 +422,15 @@ def evaluate(params: ModelParams, dataset: Dataset):
     """Accuracy and confusion matrix (rows = true class, cols = predicted)."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    k = params.weights[-1].shape[0]
     x = params.normalizer.apply(dataset.features)
-    preds = np.argmax(forward(params, x)[-1], axis=1)
-    confusion = np.bincount(dataset.labels * k + preds,
-                            minlength=k * k).reshape(k, k)
-    accuracy = float(np.trace(confusion)) / len(dataset)
-    return accuracy, confusion
+    probs = forward(params, x)[-1]
+    return _score(probs.argmax(axis=1), dataset.labels, probs.shape[-1])
+
+
+def _score(preds, labels, k: int):
+    """`evaluate` from the predicted and true labels of k classes."""
+    confusion = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
+    return float(np.trace(confusion)) / len(labels), confusion
 
 
 def _f32_bytes(a: np.ndarray) -> bytes:

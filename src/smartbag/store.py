@@ -33,6 +33,7 @@ HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 import logging
@@ -45,6 +46,7 @@ import zlib
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import attrgetter
 from urllib.parse import quote, urlencode, urlsplit
 
 from .clock import RealClock
@@ -97,6 +99,9 @@ class HistoryEntry:
     push_id: str
     doc: dict
     server_ts: int
+
+
+_push_id = attrgetter("push_id")
 
 
 class Store:
@@ -220,15 +225,20 @@ class Store:
 
     def get_history(self, path: str, since: str | None = None,
                     limit: int | None = None):
-        """Entries after `since` (exclusive), oldest first, capped at limit."""
+        """Entries after `since` (exclusive), oldest first, capped at limit.
+
+        Push ids within a history only grow, so the first entry after
+        `since` is found by bisection and only the returned slice is copied.
+        """
         segments = parse_path(path)
+        if limit is not None and limit < 0:
+            raise ValueError("limit must be >= 0")
         with self._lock:
-            entries = list(self.history.get(segments, []))
-        if since is not None:
-            entries = [e for e in entries if e.push_id > since]
-        if limit is not None:
-            entries = entries[:limit]
-        return entries
+            entries = self.history.get(segments, [])
+            start = 0 if since is None else bisect.bisect_right(
+                entries, since, key=_push_id)
+            end = len(entries) if limit is None else start + limit
+            return entries[start:end]
 
     def has_history(self, path: str) -> bool:
         return parse_path(path) in self.history

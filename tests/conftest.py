@@ -40,6 +40,22 @@ def flaky_store():
     return FlakyStore()
 
 
+@pytest.fixture
+def open_store():
+    """Opens a WAL-backed Store on the given log path. Every store it opened
+    is closed at teardown, so a test can reopen a log that an earlier store,
+    left open as after a crash, still holds."""
+    stores = []
+
+    def open_(log_path):
+        stores.append(Store(log_path=str(log_path)))
+        return stores[-1]
+
+    yield open_
+    for store in stores:
+        store.close()
+
+
 class CountingServer:
     """A local HTTP server that records each request as (method, path,
     body) and answers it with `status`, or hangs up without a reply while

@@ -155,16 +155,16 @@ def test_protocol_round_trip_and_fuzz():
            "bit flips rejected)")
 
 
-def test_store_durability(tmp_path):
+def test_store_durability(tmp_path, open_store):
     rng = np.random.default_rng(123)
     ops = random_ops(rng, 1000)
     log = tmp_path / "store.wal"
-    durable = Store(log_path=str(log))
+    durable = open_store(log)
     oracle = Store()
     apply_ops(durable, ops)
     apply_ops(oracle, ops)
     # kill without close, then restart from the log
-    replayed = Store(log_path=str(log))
+    replayed = open_store(log)
     assert replayed.docs == oracle.docs
     assert {p: [e.doc for e in v] for p, v in replayed.history.items()} == \
         {p: [e.doc for e in v] for p, v in oracle.history.items()}
@@ -172,7 +172,7 @@ def test_store_durability(tmp_path):
 
     truncated = log.read_bytes()[:-5]
     (tmp_path / "trunc.wal").write_bytes(truncated)
-    prefix_store = Store(log_path=str(tmp_path / "trunc.wal"))
+    prefix_store = open_store(tmp_path / "trunc.wal")
     total = sum(len(v) for v in prefix_store.history.values())
     oracle_total = sum(len(v) for v in oracle.history.values())
     assert total in (oracle_total, oracle_total - 1)
@@ -197,15 +197,16 @@ def sos_trace_lines():
 def test_end_to_end_sos_latency(model_file, tmp_path):
     start = time.monotonic()
     server = StoreServer(Store()).start()
+    gateway_client = HttpStoreClient(server.base_url)
+    service_client = HttpStoreClient(server.base_url)
     try:
         clock = VirtualClock(0)
         gateway = Gateway(
-            TraceSource(sos_trace_lines(), start_ms=0),
-            HttpStoreClient(server.base_url),
+            TraceSource(sos_trace_lines(), start_ms=0), gateway_client,
             GatewayConfig(device_id="BAG1", period_ms=2000), clock=clock)
         log = NotificationLog(str(tmp_path / "n.jsonl"))
         service = AlertService(
-            HttpStoreClient(server.base_url), model_file,
+            service_client, model_file,
             AlertServiceConfig(device_id="BAG1", poll_interval_ms=1000),
             cursor_path=str(tmp_path / "cursor.json"),
             sinks=[log], clock=clock)
@@ -229,6 +230,8 @@ def test_end_to_end_sos_latency(model_file, tmp_path):
         latest = service.store.get("bags/BAG1/latest")
         assert "activity" in latest
     finally:
+        gateway_client.close()
+        service_client.close()
         server.stop()
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -238,11 +241,12 @@ def test_end_to_end_sos_latency(model_file, tmp_path):
 
 def test_alarm_loop(tmp_path):
     server = StoreServer(Store()).start()
+    client = HttpStoreClient(server.base_url)
     try:
         assert main(["alarm", "BAG1", "--store", server.base_url]) == 0
         clock = VirtualClock(0)
         gateway = Gateway(
-            TraceSource([], start_ms=0), HttpStoreClient(server.base_url),
+            TraceSource([], start_ms=0), client,
             GatewayConfig(device_id="BAG1"), clock=clock)
         gateway.tick()
         gateway.tick()  # second tick must not re-fire
@@ -251,5 +255,6 @@ def test_alarm_loop(tmp_path):
         assert len(triggered) == 1
         assert server.store.get("bags/BAG1/commands")["alarm"] == 0
     finally:
+        client.close()
         server.stop()
     report("alarm loop", "(one ALARM_TRIGGERED event, flag reset to 0)")

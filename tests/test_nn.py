@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from smartbag import nn
-from smartbag.dataset import Dataset, Normalizer, default_profiles, generate, split
+from smartbag.dataset import (
+    Dataset, Normalizer, default_profiles, fit_normalizer, generate, split,
+)
 
 
 def make_params(sizes, rng, scale=0.5):
@@ -398,6 +400,38 @@ class TestTrain:
         _, report = nn.train(train_set, nn.ModelSpec(), nn.Hyperparams(),
                              test_set=test_set)
         assert report.test_accuracy >= 0.95
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_matches_public_step_loop(self, lam):
+        # train runs on flat buffers and scores the training set from its
+        # last epoch's forward pass; the same loop over the public functions,
+        # on the same permutation stream, must give the same bits
+        data = generate(default_profiles(), 300, seed=5)
+        spec = nn.ModelSpec()
+        hyper = nn.Hyperparams(epochs=3, batch_size=64, lam=lam, seed=11)
+        model, report = nn.train(data, spec, hyper)
+
+        norm = fit_normalizer(data)
+        x = norm.apply(data.features)
+        y = np.eye(spec.output_width)[data.labels]
+        rng = np.random.default_rng(hyper.seed)
+        params = nn.init_params(spec, rng, normalizer=norm)
+        state = nn.AdamState.zeros_like(params)
+        losses = []
+        for _ in range(hyper.epochs):
+            order = rng.permutation(len(data))
+            for start in range(0, len(data), hyper.batch_size):
+                idx = order[start:start + hyper.batch_size]
+                grads = nn.backward(params, (x[idx], y[idx]), lam)
+                nn.adam_step(params, state, grads, hyper)
+            losses.append(nn.loss(params, (x, y), lam))
+        for got, want in zip(model.weights + model.biases,
+                             params.weights + params.biases):
+            assert_bits_equal(got, want)
+        assert_bits_equal(report.epoch_losses, losses)
+        accuracy, confusion = nn.evaluate(params, data)
+        assert report.train_accuracy == accuracy
+        assert_bits_equal(report.confusion, confusion)
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,39 @@ class TestHistory:
     def test_unknown_path_empty(self):
         assert Store().get_history("h/none") == []
 
+    @staticmethod
+    def spaced_history():
+        """A history whose push ids are 10 ms apart, and those ids."""
+        store = Store(clock=VirtualClock(1000))
+        ids = []
+        for i in range(5):
+            ids.append(store.append_history("h/s", {"n": i}))
+            store.clock.advance(10)
+        return store, ids
+
+    @pytest.mark.parametrize("since, first", [
+        (f"{999:015d}{0:05d}", 0),   # before the first id
+        (f"{1015:015d}{0:05d}", 2),  # between the second and third ids
+        (f"{1040:015d}{0:05d}", 5),  # equal to the last id
+        (f"{9999:015d}{0:05d}", 5),  # past the end
+    ])
+    def test_since_not_in_history(self, since, first):
+        store, ids = self.spaced_history()
+        assert [e.push_id for e in store.get_history("h/s", since=since)] \
+            == ids[first:]
+        assert [e.push_id for e in store.get_history(
+            "h/s", since=since, limit=2)] == ids[first:first + 2]
+
+    def test_limit_zero(self):
+        store, ids = self.spaced_history()
+        assert store.get_history("h/s", limit=0) == []
+        assert store.get_history("h/s", since=ids[1], limit=0) == []
+
+    def test_negative_limit_rejected(self):
+        store, _ = self.spaced_history()
+        with pytest.raises(ValueError):
+            store.get_history("h/s", limit=-1)
+
     def test_stalled_clock_stays_monotonic(self):
         store = Store(clock=VirtualClock(1000))
         ids = [store.append_history("h/s", {"n": i}) for i in range(100)]
@@ -133,60 +166,60 @@ def apply_ops(store, ops):
 
 
 class TestDurability:
-    def test_restart_replays_acknowledged_writes(self, tmp_path):
+    def test_restart_replays_acknowledged_writes(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
-        store = Store(log_path=str(log))
+        store = open_store(log)
         store.patch("bags/a/latest", {"v": 1})
         pid = store.append_history("bags/a/history", {"v": 2})
         # simulated crash: no close, reopen from the log file
-        reopened = Store(log_path=str(log))
+        reopened = open_store(log)
         assert reopened.get("bags/a/latest") == {"v": 1}
         entries = reopened.get_history("bags/a/history")
         assert [e.push_id for e in entries] == [pid]
 
-    def test_replay_matches_in_memory_oracle(self, tmp_path):
+    def test_replay_matches_in_memory_oracle(self, tmp_path, open_store):
         rng = np.random.default_rng(10)
         ops = random_ops(rng, 1000)
         log = tmp_path / "store.wal"
-        durable = Store(log_path=str(log))
+        durable = open_store(log)
         oracle = Store()
         apply_ops(durable, ops)
         apply_ops(oracle, ops)
-        replayed = Store(log_path=str(log))
+        replayed = open_store(log)
         assert replayed.docs == oracle.docs
         for path in oracle.history:
             assert [e.doc for e in replayed.history[path]] == \
                 [e.doc for e in oracle.history[path]]
 
-    def test_truncated_tail_yields_prefix(self, tmp_path):
+    def test_truncated_tail_yields_prefix(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
-        store = Store(log_path=str(log))
+        store = open_store(log)
         for i in range(5):
             store.patch("p/x", {f"k{i}": i})
         store.close()
         data = log.read_bytes()
         log.write_bytes(data[:-3])  # chop into the final record
-        reopened = Store(log_path=str(log))
+        reopened = open_store(log)
         assert reopened.get("p/x") == {f"k{i}": i for i in range(4)}
 
-    def test_writes_after_torn_tail_survive_restart(self, tmp_path):
+    def test_writes_after_torn_tail_survive_restart(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
-        store = Store(log_path=str(log))
+        store = open_store(log)
         for i in range(3):
             store.append_history("h/s", {"i": i})
         store.close()
         log.write_bytes(log.read_bytes()[:-3])  # tear the last record
-        store = Store(log_path=str(log))
+        store = open_store(log)
         for i in range(3, 6):
             store.append_history("h/s", {"i": i})
         store.close()
-        reopened = Store(log_path=str(log))
+        reopened = open_store(log)
         assert [e.doc["i"] for e in reopened.get_history("h/s")] == \
             [0, 1, 3, 4, 5]
 
-    def test_corrupt_interior_record_stops_replay(self, tmp_path):
+    def test_corrupt_interior_record_stops_replay(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
-        store = Store(log_path=str(log))
+        store = open_store(log)
         for i in range(5):
             store.patch("p/x", {f"k{i}": i})
         store.close()
@@ -196,18 +229,18 @@ class TestDurability:
         second = 4 + len0 + 4
         data[second + 4 + 2] ^= 0xFF
         log.write_bytes(bytes(data))
-        reopened = Store(log_path=str(log))
+        reopened = open_store(log)
         assert reopened.get("p/x") == {"k0": 0}
 
-    def test_empty_log_empty_store(self, tmp_path):
+    def test_empty_log_empty_store(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
         log.write_bytes(b"")
-        store = Store(log_path=str(log))
+        store = open_store(log)
         assert store.docs == {} and store.history == {}
 
-    def test_log_record_format(self, tmp_path):
+    def test_log_record_format(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
-        store = Store(log_path=str(log))
+        store = open_store(log)
         store.patch("p/x", {"a": 1})
         store.close()
         data = log.read_bytes()
@@ -391,7 +424,10 @@ def test_client_contract(client):
     assert [e.push_id for e in client.get_history(
         "bags/c/history", limit=1)] == ids[:1]
     assert client.get_history("bags/c/history", since=ids[-1]) == []
+    assert client.get_history("bags/c/history", limit=0) == []
     assert client.get_history("bags/none/history") == []
+    with pytest.raises(ValueError):
+        client.get_history("bags/c/history", limit=-1)
 
     bad = "bags/no such/latest"
     for call in (lambda: client.get(bad), lambda: client.patch(bad, {}),
