@@ -63,13 +63,6 @@ class AlertEvent:
                 "message": self.message}
 
 
-@dataclass
-class AlarmCommand:
-    device: str
-    issued_ts: int
-    state: str = "REQUESTED"  # REQUESTED | DELIVERED
-
-
 def request_alarm(store, device: str, now: int) -> tuple:
     """Raise the device's find-my-bag alarm flag unless it is already up.
     Returns the outstanding command's issue time and whether this call
@@ -204,11 +197,11 @@ class AlertService:
         self.cursor_path = cursor_path
         self.sinks = list(sinks)
         self.clock = clock or RealClock()
-        self.model, self.model_spec, self.vocabulary = self._load_model(model_path)
+        self.model, _, self.vocabulary = self._load_model(model_path)
         self.cursor = self._load_cursor()
         self.dedup_state = {}
         self.skipped = 0
-        self.outstanding_alarm: AlarmCommand | None = None
+        self.outstanding_alarm: int | None = None  # issue time of the alarm
 
     @staticmethod
     def _load_model(model_path):
@@ -277,13 +270,14 @@ class AlertService:
 
     # -- find-my-bag alarm ------------------------------------------------
 
-    def trigger_alarm(self) -> AlarmCommand:
-        """Request the bag's alarm; a single command stays outstanding per
-        device until the gateway acknowledges it."""
-        device = self.config.device_id
-        issued, raised = request_alarm(self.store, device, self.clock.now_ms())
+    def trigger_alarm(self) -> int:
+        """Request the bag's alarm and return the outstanding command's issue
+        time; a single command stays outstanding per device until the
+        gateway acknowledges it."""
+        issued, raised = request_alarm(self.store, self.config.device_id,
+                                       self.clock.now_ms())
         if raised or self.outstanding_alarm is None:
-            self.outstanding_alarm = AlarmCommand(device, issued)
+            self.outstanding_alarm = issued
         return self.outstanding_alarm
 
     def _check_alarm(self) -> None:
@@ -296,10 +290,9 @@ class AlertService:
         except StoreUnavailable:
             return
         if doc is not None and doc.get("alarm") == 0:
-            self.outstanding_alarm.state = "DELIVERED"
             self.outstanding_alarm = None
             return
-        if now - self.outstanding_alarm.issued_ts >= self.config.alarm_ttl_ms:
+        if now - self.outstanding_alarm >= self.config.alarm_ttl_ms:
             self._emit(AlertEvent(
                 "ALARM_TRIGGERED", "WARN", device, now,
                 "alarm command not acknowledged before TTL"))

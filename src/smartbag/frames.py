@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, ClassProfile
+from .dataset import ClassProfile
 
 FRAME_TAG = "BAG"
 PAYLOAD_FIELDS = 23  # tag + 22 data fields
@@ -98,10 +98,6 @@ class SensorFrame:
             raise RangeViolation("water")
         if self.sos not in (0, 1):
             raise RangeViolation("sos")
-
-    def features(self) -> np.ndarray:
-        """The 13 activity features in canonical dataset order."""
-        return np.array([float(getattr(self, name)) for name in FEATURE_NAMES])
 
 
 _FLOAT_FIELDS = ("lat", "lon", "alt", "speed", "heading",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -73,7 +72,6 @@ class Gateway:
         self.pushed_history = 0
         self._posted = None  # the buffered record whose POST has landed
         self.alarm_events = []
-        self._stop = threading.Event()
 
     # -- alarm command loop ----------------------------------------------
 
@@ -129,9 +127,10 @@ class Gateway:
         self._poll_commands(now)
 
     def run(self, max_ticks: int = None, stop_when_exhausted: bool = False) -> None:
-        """Tick until stopped; never raises on store trouble."""
+        """Tick until max_ticks, or until an exhausted source is drained;
+        never raises on store trouble."""
         ticks = 0
-        while not self._stop.is_set():
+        while True:
             self.tick()
             ticks += 1
             if max_ticks is not None and ticks >= max_ticks:
@@ -150,6 +149,3 @@ class Gateway:
             except StoreUnavailable:
                 return
             self.buffer.popleft()
-
-    def stop(self) -> None:
-        self._stop.set()

@@ -29,6 +29,11 @@ HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
     GET   /bags/{id}/latest.json          current document or 404
     POST  /bags/{id}/history.json         append, returns {"name": pushId}
     GET   /bags/{id}/history.json?since=<pushId>&limit=<n>
+
+A GET is a history read exactly when it carries `since` or `limit`; any
+other GET reads the document. A history read always answers with a list,
+empty for a path with no history. `since=` (empty) reads from the start,
+since the empty string sorts before every push id.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
-from urllib.parse import quote, urlencode, urlsplit
+from urllib.parse import parse_qsl, quote, urlencode, urlsplit
 
 from .clock import RealClock
 
@@ -133,13 +138,19 @@ class Store:
     # -- push ids ---------------------------------------------------------
 
     def _next_push_id(self) -> str:
+        """A 20-digit id greater than every id issued or replayed before."""
         now = self.clock.now_ms()
         if now > self._last_ms:
             self._last_ms = now
             self._counter = 0
-        else:
+        elif self._counter < 99999:
             # wall clock stalled or went backwards: fall back to the counter
             self._counter += 1
+        else:
+            # the counter is full: carry into the millisecond field, so the
+            # id keeps its width and still sorts after the ones before it
+            self._last_ms += 1
+            self._counter = 0
         return f"{self._last_ms:015d}{self._counter:05d}"
 
     def _observe_push_id(self, push_id: str) -> None:
@@ -240,6 +251,8 @@ class Store:
             end = len(entries) if limit is None else start + limit
             return entries[start:end]
 
+    # no product caller: perfbench/pipeline.py probes it by name, so it goes
+    # with that workload's next change (ROADMAP.md, item 1)
     def has_history(self, path: str) -> bool:
         return parse_path(path) in self.history
 
@@ -274,12 +287,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not path.endswith(".json"):
             self._reply(400, {"error": "path must end with .json"})
             return None, None
-        params = {}
-        for part in query.split("&"):
-            if "=" in part:
-                key, value = part.split("=", 1)
-                params[key] = value
-        return path[:-len(".json")], params
+        # keep_blank_values: `since=` means "from the start"
+        return path[:-len(".json")], dict(parse_qsl(query, keep_blank_values=True))
 
     def _read_doc(self):
         # a body left unread would be parsed as the next request, so each
@@ -306,41 +315,34 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return doc
 
-    def do_PATCH(self):
-        path, _ = self._path_and_query()
-        if path is None:
-            return
+    def _write(self, write):
+        """Reply with `write(path, body)`, or 400 if the store refuses it.
+        The body is read first, so a refused path leaves none of it unread."""
         doc = self._read_doc()
         if doc is None:
             return
+        path, _ = self._path_and_query()
+        if path is None:
+            return
         try:
-            merged = self.store.patch(path, doc)
+            result = write(path, doc)
         except StoreError as e:
             self._reply(400, {"error": str(e)})
             return
-        self._reply(200, merged)
+        self._reply(200, result)
+
+    def do_PATCH(self):
+        self._write(self.store.patch)
 
     def do_POST(self):
-        path, _ = self._path_and_query()
-        if path is None:
-            return
-        doc = self._read_doc()
-        if doc is None:
-            return
-        try:
-            push_id = self.store.append_history(path, doc)
-        except StoreError as e:
-            self._reply(400, {"error": str(e)})
-            return
-        self._reply(200, {"name": push_id})
+        self._write(lambda path, doc: {"name": self.store.append_history(path, doc)})
 
     def do_GET(self):
         path, params = self._path_and_query()
         if path is None:
             return
         try:
-            is_history = self.store.has_history(path)
-            if is_history or "since" in params or "limit" in params:
+            if "since" in params or "limit" in params:
                 limit = int(params["limit"]) if "limit" in params else None
                 entries = self.store.get_history(
                     path, since=params.get("since"), limit=limit)
@@ -435,15 +437,12 @@ class HttpStoreClient:
         return self._request("GET", path)
 
     def get_history(self, path: str, since=None, limit=None):
-        query = {}
-        if since is not None:
-            query["since"] = since
+        # `since` makes this a history read; "" reads from the start
+        query = {"since": since or ""}
         if limit is not None:
-            query["limit"] = str(limit)
-        entries = self._request("GET", path, query=query or {"limit": "1000000"})
-        if entries is None:
-            return []
-        return [HistoryEntry(e["id"], e["doc"], e["ts"]) for e in entries]
+            query["limit"] = limit
+        return [HistoryEntry(e["id"], e["doc"], e["ts"])
+                for e in self._request("GET", path, query=query)]
 
     def close(self) -> None:
         self.http.close()

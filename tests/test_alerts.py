@@ -250,20 +250,21 @@ class TestAlertService:
 class TestAlarm:
     def test_trigger_then_ack(self, model_file, tmp_path):
         service, store, log, clock = make_service(model_file, tmp_path)
-        command = service.trigger_alarm()
-        assert command.state == "REQUESTED"
+        issued = service.trigger_alarm()
+        assert service.outstanding_alarm == issued
         assert store.get("bags/BAG1/commands")["alarm"] == 1
         # gateway-side ack
         store.patch("bags/BAG1/commands", {"alarm": 0, "ackTs": 5})
         service.poll_once()
-        assert command.state == "DELIVERED"
         assert service.outstanding_alarm is None
+        assert "ALARM_TRIGGERED" not in [e["kind"] for e in log.read()]
 
     def test_double_trigger_single_outstanding(self, model_file, tmp_path):
-        service, store, _, _ = make_service(model_file, tmp_path)
+        service, store, _, clock = make_service(model_file, tmp_path)
         first = service.trigger_alarm()
+        clock.advance(10)
         second = service.trigger_alarm()
-        assert first is second
+        assert first == second
 
     def test_ttl_warn(self, model_file, tmp_path):
         service, store, log, clock = make_service(model_file, tmp_path,

@@ -1,3 +1,4 @@
+import http.client
 import json
 import socket
 import struct
@@ -124,6 +125,27 @@ class TestHistory:
         store = Store(clock=VirtualClock(1000))
         ids = [store.append_history("h/s", {"n": i}) for i in range(100)]
         assert ids == sorted(ids) and len(set(ids)) == 100
+
+    def test_full_counter_carries_into_milliseconds(self, tmp_path,
+                                                    open_store):
+        # a log whose last id used up its millisecond's counter
+        log = tmp_path / "store.wal"
+        last = f"{1000:015d}{99999:05d}"
+        payload = json.dumps({"op": "append", "path": ["h", "s"],
+                              "doc": {"n": 0}, "id": last, "ts": 1000}).encode()
+        log.write_bytes(struct.pack("<I", len(payload)) + payload
+                        + struct.pack("<I", zlib.crc32(payload)))
+        store = Store(log_path=str(log), clock=VirtualClock(1000))
+        ids = [store.append_history("h/s", {"n": i}) for i in range(1, 4)]
+        store.close()
+        assert all(len(i) == 20 for i in ids)
+        assert [last] + ids == sorted(set([last] + ids))
+        assert [e.push_id for e in store.get_history("h/s", since=last)] == ids
+        # replay observes the carried ids: the next id still sorts last
+        reopened = open_store(log)
+        reopened.clock = VirtualClock(1000)
+        following = reopened.append_history("h/s", {"n": 4})
+        assert len(following) == 20 and following > ids[-1]
 
     def test_concurrent_appends_unique_and_ordered(self):
         store = Store()
@@ -283,12 +305,52 @@ class TestHttp:
     def test_history_roundtrip(self, server):
         url = f"{server.base_url}/bags/b1/history.json"
         ids = [requests.post(url, json={"n": i}).json()["name"] for i in range(3)]
-        listing = requests.get(url).json()
+        listing = requests.get(url, params={"since": ""}).json()
         assert [e["doc"]["n"] for e in listing] == [0, 1, 2]
         after = requests.get(url, params={"since": ids[0]}).json()
         assert [e["doc"]["n"] for e in after] == [1, 2]
         capped = requests.get(url, params={"limit": "1"}).json()
         assert len(capped) == 1
+
+    def test_bare_get_reads_the_document(self, server):
+        url = f"{server.base_url}/bags/b1/history.json"
+        requests.post(url, json={"n": 0})
+        assert requests.get(url).status_code == 404
+
+    def test_history_query_is_percent_decoded(self, server):
+        url = f"{server.base_url}/bags/b1/history.json"
+        for i in range(3):
+            requests.post(url, json={"n": i})
+        # http.client sends the target as given; requests would unescape %31
+        conn = http.client.HTTPConnection(*server.httpd.server_address[:2])
+        try:
+            conn.request("GET", "/bags/b1/history.json?limit=%31")
+            capped = conn.getresponse()
+            assert capped.status == 200
+            assert [e["doc"]["n"] for e in json.loads(capped.read())] == [0]
+        finally:
+            conn.close()
+
+    def test_non_numeric_limit_refused(self, server):
+        url = f"{server.base_url}/bags/b1/history.json"
+        requests.post(url, json={"n": 0})
+        assert requests.get(url, params={"limit": "abc"}).status_code == 400
+
+    def test_refused_path_leaves_no_body_unread(self, server):
+        host, port = server.httpd.server_address[:2]
+        body = b'{"a": 1}'
+        with socket.create_connection((host, port), timeout=5) as sock:
+            # two requests on one connection: the first path lacks .json
+            sock.sendall(b"PATCH /bags/b1/latest HTTP/1.1\r\n"
+                         b"Host: x\r\nContent-Length: %d\r\n\r\n%s"
+                         b"GET /bags/b1/latest.json HTTP/1.1\r\n"
+                         b"Host: x\r\nConnection: close\r\n\r\n"
+                         % (len(body), body))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        statuses = [part[:3] for part in reply.split(b"HTTP/1.1 ")[1:]]
+        assert statuses == [b"400", b"404"]
 
     @pytest.mark.parametrize("length, status", [
         ("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)])
@@ -429,6 +491,13 @@ def test_client_contract(client):
     with pytest.raises(ValueError):
         client.get_history("bags/c/history", limit=-1)
 
+    # one path with both a document and a history: each read gets its own
+    client.patch("bags/c/both", {"d": 1})
+    both = client.post("bags/c/both", {"h": 1})["name"]
+    assert client.get("bags/c/both") == {"d": 1}
+    assert [(e.push_id, e.doc) for e in client.get_history("bags/c/both")] \
+        == [(both, {"h": 1})]
+
     bad = "bags/no such/latest"
     for call in (lambda: client.get(bad), lambda: client.patch(bad, {}),
                  lambda: client.post(bad, {}),
@@ -447,3 +516,39 @@ def test_client_contract(client):
     client.post("bags/d/history", entry)
     entry["n"]["x"] = 2
     assert client.get_history("bags/d/history")[0].doc == {"n": {"x": 1}}
+
+
+class RecordingStore(Store):
+    """A Store that records the name of each public method called on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.called = set()
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if not name.startswith("_") and callable(value):
+            super().__getattribute__("called").add(name)
+        return value
+
+
+def test_server_calls_only_the_probed_store_methods(make_client):
+    # perfbench measures the store layer by wrapping these four methods;
+    # a request served through any other method would escape its metrics
+    store = RecordingStore()
+    srv = StoreServer(store).start()
+    try:
+        client = make_client(srv.base_url)
+        client.patch("bags/r/latest", {"a": 1})
+        client.get("bags/r/latest")
+        client.get("bags/r/none")
+        first = client.post("bags/r/history", {"n": 0})["name"]
+        client.post("bags/r/history", {"n": 1})
+        client.get("bags/r/history")
+        client.get_history("bags/r/history")
+        client.get_history("bags/r/history", since=first, limit=1)
+        client.get_history("bags/r/none")
+        called = set(store.called)
+    finally:
+        srv.stop()
+    assert called == {"patch", "get", "append_history", "get_history"}
