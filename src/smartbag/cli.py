@@ -62,14 +62,23 @@ def _print_confusion(confusion, classes) -> None:
 
 
 def cmd_train(args) -> int:
+    spec = nn.ModelSpec()
+    try:
+        hyper = nn.Hyperparams(learning_rate=args.lr, batch_size=args.batch,
+                               epochs=args.epochs, lam=args.lam, seed=args.seed)
+    except ValueError as e:
+        raise UsageError(str(e))
     try:
         data = dataset.load_csv(args.data)
     except (OSError, dataset.DatasetError) as e:
         raise OperationalError(f"cannot load {args.data}: {e}")
-    train_set, test_set = dataset.split(data, args.split, args.seed)
-    spec = nn.ModelSpec()
-    hyper = nn.Hyperparams(learning_rate=args.lr, batch_size=args.batch,
-                           epochs=args.epochs, lam=args.lam, seed=args.seed)
+    try:
+        train_set, test_set = dataset.split(data, args.split, args.seed)
+    except ValueError as e:
+        raise UsageError(f"--split: {e}")
+    if len(train_set) == 0:
+        raise UsageError(f"--split {args.split} leaves no training rows of "
+                         f"{len(data)}")
     model, report = nn.train(train_set, spec, hyper, test_set=test_set)
     _print_report(report, data.classes)
     with open(args.out, "wb") as fh:
@@ -125,6 +134,11 @@ def _make_source(args, clock):
 
 
 def _run_gateway(args, stop_when_exhausted: bool) -> int:
+    try:
+        config = GatewayConfig(device_id=args.device, period_ms=args.period,
+                               buffer_capacity=args.buffer)
+    except ValueError as e:
+        raise UsageError(str(e))
     clock = RealClock()
     try:
         source = _make_source(args, clock)
@@ -133,8 +147,7 @@ def _run_gateway(args, stop_when_exhausted: bool) -> int:
     gw = Gateway(
         source,
         _http(HttpStoreClient, args.store),
-        GatewayConfig(device_id=args.device, period_ms=args.period,
-                      buffer_capacity=args.buffer),
+        config,
         clock=clock,
         event_log_path=args.events,
     )
@@ -158,17 +171,21 @@ def cmd_replay(args) -> int:
 
 
 def cmd_alerts(args) -> int:
-    overrides = _read_config_file(args.config) if args.config else {}
-    rules = alerts.AlertRuleSet(
-        mq2_max=float(overrides.get("mq2_max", 300.0)),
-        mq135_max=float(overrides.get("mq135_max", 200.0)),
-        dedup_window_ms=int(overrides.get("dedup_window_ms", 30000)),
-    )
-    config = alerts.AlertServiceConfig(
-        device_id=args.device,
-        poll_interval_ms=int(overrides.get("poll_interval_ms", args.interval)),
-        rules=rules,
-    )
+    try:
+        overrides = _read_config_file(args.config) if args.config else {}
+        rules = alerts.AlertRuleSet(
+            mq2_max=float(overrides.get("mq2_max", 300.0)),
+            mq135_max=float(overrides.get("mq135_max", 200.0)),
+            dedup_window_ms=int(overrides.get("dedup_window_ms", 30000)),
+        )
+        config = alerts.AlertServiceConfig(
+            device_id=args.device,
+            poll_interval_ms=int(overrides.get("poll_interval_ms",
+                                               args.interval)),
+            rules=rules,
+        )
+    except (OSError, ValueError) as e:  # unreadable file, or a bad value in it
+        raise OperationalError(f"config {args.config}: {e}")
     sinks = [alerts.NotificationLog(args.log)]
     webhook = overrides.get("webhook_url", args.webhook)
     if webhook:

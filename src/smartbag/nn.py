@@ -10,8 +10,12 @@ The weights and biases of the model it builds are views into that array,
 and the gradients live in a second flat array laid out the same way, so
 `backward` writes into them and Adam updates the whole array in place. The
 public `backward` and `adam_step` run the same kernels on arrays of their
-own. A speed-up of this module must keep every floating-point operation and
-its order, so that exported models stay byte-identical for the same seed.
+own. Passes that take no gradient (the epoch loss, `evaluate`, `predict`)
+keep one layer's activations at a time, not all of them, and share
+`forward`'s per-layer step; `train`'s loss pass writes them into two
+buffers it allocates once. A speed-up of this module must keep every
+floating-point operation and its order, so that exported models stay
+byte-identical for the same seed.
 """
 
 from __future__ import annotations
@@ -199,29 +203,59 @@ def init_params(spec: ModelSpec, rng: np.random.Generator,
     return ModelParams(weights, biases, normalizer)
 
 
+def _input(params: ModelParams, x):
+    """x as a float array, checked against the model's input width."""
+    a = np.asarray(x, dtype=float)
+    if a.shape[-1] != params.weights[0].shape[1]:
+        raise ValueError(
+            f"feature width {a.shape[-1]} != model input width "
+            f"{params.weights[0].shape[1]}")
+    return a
+
+
+def _layer(a, w, b, output: bool, out=None):
+    """One layer's activation from the previous one, in `out` or a fresh
+    array: ReLU for a hidden layer, softmax for the output layer."""
+    # the product never aliases a, so bias and activation go in place
+    z = np.matmul(a, w.T, out=out)
+    z += b
+    return _softmax_inplace(z) if output else _relu_inplace(z)
+
+
 def forward(params: ModelParams, x):
     """Return the per-layer activations; the last entry is the output vector.
 
     Expects already-normalized features. Accepts a single vector or a
     (batch, width) matrix.
     """
-    a = np.asarray(x, dtype=float)
-    if a.shape[-1] != params.weights[0].shape[1]:
-        raise ValueError(
-            f"feature width {a.shape[-1]} != model input width "
-            f"{params.weights[0].shape[1]}")
+    a = _input(params, x)
     activations = [a]
-    n_layers = len(params.weights)
+    last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        # a @ w.T is a fresh array, so bias and activation go in place
-        a = a @ w.T
-        a += b
-        if l == n_layers - 1:
-            _softmax_inplace(a)
-        else:
-            _relu_inplace(a)
+        a = _layer(a, w, b, l == last)
         activations.append(a)
     return activations
+
+
+def forward_output(params: ModelParams, x):
+    """`forward(params, x)[-1]`, the same bits, without keeping every
+    layer's activations; for passes that take no gradient."""
+    return _output(params, _input(params, x))
+
+
+def _output(params: ModelParams, a, scratch=None):
+    """`forward_output` of a checked input. Given `scratch`, two flat
+    arrays large enough for every even-numbered and every odd-numbered
+    layer of the (batch, width) input a, layer l goes into scratch[l % 2]
+    instead of a fresh array."""
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        out = None
+        if scratch is not None:
+            shape = (a.shape[0], w.shape[0])
+            out = scratch[l % 2][:shape[0] * shape[1]].reshape(shape)
+        a = _layer(a, w, b, l == last, out)
+    return a
 
 
 def _one_hot(labels, k: int):
@@ -248,7 +282,7 @@ def loss(params: ModelParams, batch, lam: float = 0.0) -> float:
         raise ValueError("empty batch")
     if not np.all((y == 0) | (y == 1)) or not np.allclose(y.sum(axis=1), 1.0):
         raise ValueError("labels must be one-hot")
-    return _loss(params, forward(params, x)[-1], y, lam)
+    return _loss(params, forward_output(params, x), y, lam)
 
 
 def _loss(params: ModelParams, probs, y, lam: float) -> float:
@@ -385,6 +419,10 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
     state = AdamState.zeros_like(params)
 
     n = len(train_set)
+    # the per-epoch loss pass reuses these, so it allocates no activations:
+    # fresh ones were handed back to the system and faulted in again
+    sizes = spec.layer_sizes
+    scratch = (np.empty(n * max(sizes[1::2])), np.empty(n * max(sizes[2::2])))
     epoch_losses = []
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
@@ -393,7 +431,7 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
             _backward_into(params, x_all[idx], y_all[idx], hyper.lam,
                            grad_w, grad_b)
             _adam_update(flat, flat_grads, state, hyper)
-        probs = forward(params, x_all)[-1]
+        probs = _output(params, x_all, scratch)
         epoch_losses.append(_loss(params, probs, y_all, hyper.lam))
 
     # the last epoch's outputs are those evaluate would compute again
@@ -414,7 +452,7 @@ def predict(params: ModelParams, raw_features):
     x = np.asarray(raw_features, dtype=float)
     if x.ndim != 1 or x.shape[0] != params.weights[0].shape[1]:
         raise ValueError("feature width mismatch")
-    probs = forward(params, params.normalizer.apply(x))[-1]
+    probs = forward_output(params, params.normalizer.apply(x))
     return int(np.argmax(probs)), probs
 
 
@@ -423,7 +461,7 @@ def evaluate(params: ModelParams, dataset: Dataset):
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     x = params.normalizer.apply(dataset.features)
-    probs = forward(params, x)[-1]
+    probs = forward_output(params, x)
     return _score(probs.argmax(axis=1), dataset.labels, probs.shape[-1])
 
 

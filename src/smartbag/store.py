@@ -21,7 +21,10 @@ object, built on the standard library's `http.client`. A client is not
 shared between threads; give each thread its own. A request is never sent
 twice on the client's own initiative: a refused, reset or timed-out
 exchange and any 5xx reply raise StoreUnavailable, and the caller decides
-whether to retry.
+whether to retry. The HTTP stack loads only when a connection or server is
+built: `http.client` (which loads `ssl`) in `JsonConnection`, `http.server`
+(which loads `email`) in `StoreServer`. A process that builds or evaluates
+models, or uses an in-process `Store`, imports neither.
 
 HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
 
@@ -49,8 +52,6 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
 from urllib.parse import parse_qsl, quote, urlencode, urlsplit
 
@@ -265,7 +266,10 @@ class Store:
 # --- HTTP layer ----------------------------------------------------------
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler:
+    """The store's request handling; `StoreServer` mixes it into
+    `http.server.BaseHTTPRequestHandler`."""
+
     store: Store = None
     protocol_version = "HTTP/1.1"
 
@@ -338,6 +342,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._write(lambda path, doc: {"name": self.store.append_history(path, doc)})
 
     def do_GET(self):
+        # no GET reads a body, and one left unread would be parsed as the
+        # next request, so a GET that carries one closes the connection
+        if (self.headers.get("Content-Length", "0").strip() != "0"
+                or "Transfer-Encoding" in self.headers):
+            self._reply(400, {"error": "GET takes no body"}, close=True)
+            return
         path, params = self._path_and_query()
         if path is None:
             return
@@ -375,10 +385,13 @@ class JsonConnection:
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http(s) URL: {url!r}")
+        # imported here, not at module level: http.client loads ssl
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
         conn_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
         self._prefix = parts.path.rstrip("/")
         self._query = parts.query
         self._conn = conn_class(parts.hostname, parts.port, timeout=timeout)
+        self._failures = (OSError, HTTPException)
 
     def request(self, method: str, path: str = "", doc=None, query=None):
         """Send one request with `doc` as its JSON body; returns the reply's
@@ -401,7 +414,7 @@ class JsonConnection:
             self._conn.request(method, target, body=body, headers=headers)
             resp = self._conn.getresponse()
             return resp.status, resp.read()
-        except (OSError, HTTPException) as e:
+        except self._failures as e:
             self._conn.close()
             raise StoreUnavailable(f"{method} {target}: {e!r}") from None
 
@@ -448,10 +461,11 @@ class HttpStoreClient:
         self.http.close()
 
 
-class _HttpServer(ThreadingHTTPServer):
+class _HttpServer:
     """Ends its open connections when it closes: a handler thread otherwise
     keeps serving a kept-alive connection, and the store behind it, until
-    the client hangs up."""
+    the client hangs up. `StoreServer` mixes it into
+    `http.server.ThreadingHTTPServer`."""
 
     def __init__(self, address, handler):
         self._connections = set()
@@ -482,9 +496,13 @@ class StoreServer:
     """Threaded HTTP front end over a Store."""
 
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundHandler", (_Handler,), {"store": store})
+        # imported here, not at module level: http.server loads email
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+        handler = type("BoundHandler", (_Handler, BaseHTTPRequestHandler),
+                       {"store": store})
+        server = type("HttpServer", (_HttpServer, ThreadingHTTPServer), {})
         self.store = store
-        self.httpd = _HttpServer((host, port), handler)
+        self.httpd = server((host, port), handler)
         self._thread = None
 
     @property

@@ -2,6 +2,7 @@ import os
 import socket
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -123,13 +124,64 @@ class TestServices:
         assert "http(s) URL" in capsys.readouterr().err
 
 
-def test_requests_not_imported():
-    """The services reach the store through the standard library alone."""
+@pytest.mark.parametrize("argv, config, code", [
+    (["train", "--epochs", "0"], None, 2),
+    (["train", "--split", "1.5"], None, 2),
+    (["train", "--split", "0.001"], None, 2),  # no training rows
+    (["gateway", "--period", "0"], None, 2),
+    (["gateway", "--buffer", "0"], None, 2),
+    (["alerts"], None, 1),  # the config file is missing
+    (["alerts"], "mq2_max=abc\n", 1),
+    (["alerts"], "dedup_window_ms=-5\n", 1),
+], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
+        "config-missing", "mq2_max-abc", "dedup_window_ms-neg"])
+def test_bad_values_exit_cleanly(argv, config, code, data_csv, tmp_path,
+                                 capsys):
+    argv = argv + {
+        "train": ["--data", data_csv, "--out", str(tmp_path / "m.bagm")],
+        "gateway": ["--store", "http://127.0.0.1:9"],
+        "alerts": ["--store", "http://127.0.0.1:9",
+                   "--model", str(tmp_path / "m.bagm"),
+                   "--config", str(tmp_path / "alerts.conf")],
+    }[argv[0]]
+    if config is not None:
+        (tmp_path / "alerts.conf").write_text(config)
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports smartbag from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c",
-                    "import smartbag.cli, sys; "
-                    "assert 'requests' not in sys.modules"],
-                   env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
+
+
+def test_requests_not_imported():
+    """The services reach the store through the standard library alone."""
+    run_python("import smartbag.cli, sys; "
+               "assert 'requests' not in sys.modules")
+
+
+def test_http_stack_loads_only_with_a_socket():
+    """Importing any module, as model builds do, loads no HTTP or TLS
+    module; building a server and a client loads what they need."""
+    run_python(textwrap.dedent("""
+        import sys
+        import smartbag.nn, smartbag.dataset, smartbag.frames
+        import smartbag.alerts, smartbag.store, smartbag.gateway, smartbag.cli
+        from smartbag.store import HttpStoreClient, Store, StoreServer
+        loaded = {"ssl", "http.client", "http.server", "email"} & set(sys.modules)
+        assert not loaded, sorted(loaded)
+        server = StoreServer(Store()).start()
+        client = HttpStoreClient(server.base_url)
+        try:
+            assert client.patch("bags/b1/latest", {"a": 1}) == {"a": 1}
+        finally:
+            client.close()
+            server.stop()
+        """))

@@ -155,6 +155,9 @@ class TestForward:
                 else:
                     a = np.maximum(z, 0.0)
                 assert_bits_equal(activations[l + 1], a)
+            # the pass without gradients keeps only the output layer
+            assert_bits_equal(nn.forward_output(params, x), a)
+            assert_bits_equal(x, before)
 
     def test_non_finite_logits_rejected(self):
         params = make_params([3, 4, 2], np.random.default_rng(0))

@@ -352,6 +352,26 @@ class TestHttp:
         statuses = [part[:3] for part in reply.split(b"HTTP/1.1 ")[1:]]
         assert statuses == [b"400", b"404"]
 
+    def test_get_with_body_refused(self, server):
+        host, port = server.httpd.server_address[:2]
+        body = b'{"a": 1}'
+        with socket.create_connection((host, port), timeout=5) as sock:
+            # a GET body left unread would be parsed as the second request
+            sock.sendall(b"GET /bags/b1/latest.json HTTP/1.1\r\n"
+                         b"Host: x\r\nContent-Length: %d\r\n\r\n%s"
+                         b"GET /bags/b1/latest.json HTTP/1.1\r\n"
+                         b"Host: x\r\nConnection: close\r\n\r\n"
+                         % (len(body), body))
+            reply = b""
+            try:
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            except ConnectionResetError:  # closed with our bytes unread
+                pass
+        statuses = [part[:3] for part in reply.split(b"HTTP/1.1 ")[1:]]
+        assert statuses == [b"400"]
+        assert b"Connection: close" in reply
+
     @pytest.mark.parametrize("length, status", [
         ("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)])
     def test_bad_content_length_refused(self, server, length, status):
