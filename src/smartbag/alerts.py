@@ -186,6 +186,12 @@ class AlertServiceConfig:
     alarm_ttl_ms: int = 60000
     rules: AlertRuleSet = field(default_factory=AlertRuleSet)
 
+    def __post_init__(self):
+        if self.poll_interval_ms <= 0:
+            raise ValueError("poll_interval_ms must be > 0")
+        if self.alarm_ttl_ms < 0:
+            raise ValueError("alarm_ttl_ms must be >= 0")
+
 
 class AlertService:
     """The mobile-app brain without the screen."""

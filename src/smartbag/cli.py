@@ -184,7 +184,9 @@ def cmd_alerts(args) -> int:
                                                args.interval)),
             rules=rules,
         )
-    except (OSError, ValueError) as e:  # unreadable file, or a bad value in it
+    except (OSError, ValueError) as e:
+        if args.config is None:  # every value came from a flag
+            raise UsageError(str(e))
         raise OperationalError(f"config {args.config}: {e}")
     sinks = [alerts.NotificationLog(args.log)]
     webhook = overrides.get("webhook_url", args.webhook)

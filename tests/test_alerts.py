@@ -151,6 +151,15 @@ class TestEvalRules:
         assert len(a) == 1 and len(b) == 1
 
 
+@pytest.mark.parametrize("config_kw", [
+    {"poll_interval_ms": 0}, {"poll_interval_ms": -1}, {"alarm_ttl_ms": -1}])
+def test_service_config_rejects_bad_values(config_kw):
+    # a poll interval <= 0 would busy-poll or crash the clock's sleep
+    with pytest.raises(ValueError):
+        AlertServiceConfig(**config_kw)
+    assert AlertServiceConfig(alarm_ttl_ms=0).alarm_ttl_ms == 0
+
+
 def make_service(model_file, tmp_path, store=None, **config_kw):
     store = store or Store()
     log = NotificationLog(str(tmp_path / "notifications.jsonl"))

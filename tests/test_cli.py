@@ -124,6 +124,9 @@ class TestServices:
         assert "http(s) URL" in capsys.readouterr().err
 
 
+NO_CONFIG = object()  # run `alerts` without --config: values from flags
+
+
 @pytest.mark.parametrize("argv, config, code", [
     (["train", "--epochs", "0"], None, 2),
     (["train", "--split", "1.5"], None, 2),
@@ -133,22 +136,29 @@ class TestServices:
     (["alerts"], None, 1),  # the config file is missing
     (["alerts"], "mq2_max=abc\n", 1),
     (["alerts"], "dedup_window_ms=-5\n", 1),
+    (["alerts"], "poll_interval_ms=0\n", 1),
+    (["alerts", "--interval", "-1"], NO_CONFIG, 2),
+    (["alerts", "--interval", "0"], NO_CONFIG, 2),
 ], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
-        "config-missing", "mq2_max-abc", "dedup_window_ms-neg"])
+        "config-missing", "mq2_max-abc", "dedup_window_ms-neg",
+        "poll_interval_ms-0", "interval-neg", "interval-0"])
 def test_bad_values_exit_cleanly(argv, config, code, data_csv, tmp_path,
                                  capsys):
+    conf = tmp_path / "alerts.conf"
     argv = argv + {
         "train": ["--data", data_csv, "--out", str(tmp_path / "m.bagm")],
         "gateway": ["--store", "http://127.0.0.1:9"],
         "alerts": ["--store", "http://127.0.0.1:9",
-                   "--model", str(tmp_path / "m.bagm"),
-                   "--config", str(tmp_path / "alerts.conf")],
+                   "--model", str(tmp_path / "m.bagm")]
+        + ([] if config is NO_CONFIG else ["--config", str(conf)]),
     }[argv[0]]
-    if config is not None:
-        (tmp_path / "alerts.conf").write_text(config)
+    if isinstance(config, str):
+        conf.write_text(config)
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    # the bad value is what is reported, not the missing model after it
+    assert "cannot load model" not in err[0]
 
 
 def run_python(code: str) -> None:

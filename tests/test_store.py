@@ -1,15 +1,21 @@
+import gc
 import http.client
 import json
 import socket
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 import requests
 
+from smartbag import store as store_module
 from smartbag.clock import VirtualClock
+from smartbag.dataset import default_profiles
+from smartbag.frames import SimulatorSource
+from smartbag.gateway import to_record
 from smartbag.store import (
     MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
     StoreUnavailable, merge_docs,
@@ -239,6 +245,32 @@ class TestDurability:
         assert [e.doc["i"] for e in reopened.get_history("h/s")] == \
             [0, 1, 3, 4, 5]
 
+    @pytest.mark.parametrize("tail", [
+        b"\x10\x00",  # cut inside the next record's length prefix
+        struct.pack("<I", 0xFFFFFFF0) + b"x" * 16,  # a garbage length
+    ], ids=["cut-length-prefix", "garbage-length"])
+    def test_torn_tail_after_valid_records(self, tmp_path, open_store, tail):
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        for i in range(3):
+            store.append_history("h/s", {"i": i})
+        store.close()
+        log.write_bytes(log.read_bytes() + tail)
+        tracemalloc.start()
+        try:
+            store = open_store(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the length is checked against the file before anything is read
+        assert peak < 4 << 20
+        for i in range(3, 5):
+            store.append_history("h/s", {"i": i})
+        store.close()
+        reopened = open_store(log)
+        assert [e.doc["i"] for e in reopened.get_history("h/s")] == \
+            [0, 1, 2, 3, 4]
+
     def test_corrupt_interior_record_stops_replay(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
         store = open_store(log)
@@ -371,6 +403,28 @@ class TestHttp:
         statuses = [part[:3] for part in reply.split(b"HTTP/1.1 ")[1:]]
         assert statuses == [b"400"]
         assert b"Connection: close" in reply
+
+    def test_chunked_body_refused(self, server):
+        host, port = server.httpd.server_address[:2]
+        body = b'{"a": 1}'
+        with socket.create_connection((host, port), timeout=5) as sock:
+            # chunks left unread would be parsed as the second request
+            sock.sendall(b"POST /bags/b1/history.json HTTP/1.1\r\n"
+                         b"Host: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+                         b"%x\r\n%s\r\n0\r\n\r\n"
+                         b"GET /bags/b1/latest.json HTTP/1.1\r\n"
+                         b"Host: x\r\nConnection: close\r\n\r\n"
+                         % (len(body), body))
+            reply = b""
+            try:
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            except ConnectionResetError:  # closed with our bytes unread
+                pass
+        statuses = [part[:3] for part in reply.split(b"HTTP/1.1 ")[1:]]
+        assert statuses == [b"400"]
+        assert b"Connection: close" in reply
+        assert server.store.get_history("bags/b1/history") == []
 
     @pytest.mark.parametrize("length, status", [
         ("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)])
@@ -536,6 +590,72 @@ def test_client_contract(client):
     client.post("bags/d/history", entry)
     entry["n"]["x"] = 2
     assert client.get_history("bags/d/history")[0].doc == {"n": {"x": 1}}
+
+
+def telemetry(n: int) -> list:
+    """n gateway records, as the gateway builds them from simulated frames."""
+    source = SimulatorSource(default_profiles(), seed=0)
+    return [to_record(source.poll(i * 1000)[0], i * 1000) for i in range(n)]
+
+
+def assert_same_keys(a: dict, b: dict) -> None:
+    """The two documents' keys, nested ones too, are the same objects."""
+    assert list(a) == list(b)
+    for key_a, key_b in zip(a, b):
+        assert key_a is key_b
+        if isinstance(a[key_a], dict):
+            assert_same_keys(a[key_a], b[key_b])
+
+
+class TestSharedKeys:
+    def test_store_memory_per_history_record(self, make_client):
+        records = telemetry(2000)
+        srv = StoreServer(Store())
+        # one request per record, without the replies' delayed-ACK stall,
+        # which this test does not measure
+        srv.httpd.RequestHandlerClass.disable_nagle_algorithm = True
+        srv.start()
+        client = make_client(srv.base_url)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                client.post("bags/m/history", record)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            srv.stop()
+        assert len(srv.store.get_history("bags/m/history")) == 2000
+        assert held / 2000 <= 2500
+
+    def test_client_history_pages_share_keys(self, server, make_client):
+        client = make_client(server.base_url)
+        client.post("bags/k/history", telemetry(1)[0])
+        first = client.get_history("bags/k/history")[0].doc
+        second = client.get_history("bags/k/history")[0].doc
+        assert first == second
+        assert_same_keys(first, second)
+
+    def test_replayed_docs_share_keys(self, tmp_path, open_store):
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        for record in telemetry(2):
+            store.append_history("h/s", record)
+        store.close()
+        first, second = open_store(log).get_history("h/s")
+        assert_same_keys(first.doc, second.doc)
+
+    def test_key_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(store_module, "_shared_keys",
+                            store_module._KeyTable())
+        monkeypatch.setattr(store_module, "_MAX_SHARED_KEYS", 2)
+        long_key = "k" * (store_module._MAX_SHARED_KEY_LEN + 1)
+        doc = {"a": 1, long_key: 2, "b": {"c": 3}, "d": 4}
+        assert store_module._loads(json.dumps(doc)) == doc
+        # keys past the count or the length bound stay out of the table
+        assert store_module._shared_keys == {"a": "a", "c": "c"}
 
 
 class RecordingStore(Store):
