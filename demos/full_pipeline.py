@@ -32,13 +32,12 @@ store = Store(log_path=workdir / "store.wal")
 server = StoreServer(store).start()
 print(f"store at {server.base_url}")
 
-# 3. A scripted frame source: normal walking, then an SOS press.
+# 3. A scripted frame source: normal walking, then an SOS press between
+# two 2 s gateway ticks; the gateway carries it on the record it pushes.
 sim = frames.SimulatorSource(dataset.default_profiles(), seed=4,
                              interval_ms=1000)
 tape = sim.poll(0) + sim.poll(7000)
-# put the SOS on a frame that lands exactly on a 2 s gateway tick, so it
-# is the newest frame in its push window and reaches the store
-tape[6] = replace(tape[6], sos=1)
+tape[5] = replace(tape[5], sos=1)
 trace_path = workdir / "trace.txt"
 frames.write_trace(tape, trace_path)
 

@@ -1,13 +1,14 @@
 """Gateway between the frame source and the document store.
 
 Every push period the newest available frame is converted to a JSON
-telemetry record and appended to a buffer; one drain loop (`flush`) then
-POSTs each buffered record to `bags/<device>/history` and PATCHes it to
-`bags/<device>/latest`, oldest first, and stops at the first failure; a
-record whose POST landed is not posted again when only its PATCH failed. While
-the store is unreachable the buffer keeps the newest `buffer_capacity`
-records and counts the ones it drops. The gateway also polls
-`bags/<device>/commands` for the find-my-bag alarm flag and acknowledges it.
+telemetry record, carrying an SOS or water flag from any frame of the
+period, and appended to a buffer; one drain loop (`flush`) then pushes each
+buffered record, oldest first, with one store write that appends it to
+`bags/<device>/history` and merges it into `bags/<device>/latest`, and
+stops at the first failure. While the store is unreachable the buffer keeps
+the newest `buffer_capacity` records and counts the ones it drops. The
+gateway also polls `bags/<device>/commands` for the find-my-bag alarm flag
+and acknowledges it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class Gateway:
         self.buffer = deque()
         self.dropped = 0
         self.pushed_history = 0
-        self._posted = None  # the buffered record whose POST has landed
         self.alarm_events = []
 
     # -- alarm command loop ----------------------------------------------
@@ -106,24 +106,27 @@ class Gateway:
 
     def _push(self, record: dict) -> None:
         device = self.config.device_id
-        if record is not self._posted:
-            self.store.post(f"bags/{device}/history", record)
-            self.pushed_history += 1
-            self._posted = record
-        self.store.patch(f"bags/{device}/latest", record)
+        self.store.post(f"bags/{device}/history", record,
+                        latest=f"bags/{device}/latest")
+        self.pushed_history += 1
 
     def tick(self) -> None:
         """One push period's worth of work."""
         now = self.clock.now_ms()
         frames = self.source.poll(now)
         if frames:
-            self.buffer.append(to_record(frames[-1], now))
+            record = to_record(frames[-1], now)
+            # latch events across the window: only the newest frame is
+            # pushed, but a flag on any frame of the window must arrive
+            record["sos"] = int(any(f.sos for f in frames))
+            record["water"] = int(any(f.water for f in frames))
+            self.buffer.append(record)
         # trim after the drain, so a full buffer drops nothing while the
         # store is up
         self.flush()
         while len(self.buffer) > self.config.buffer_capacity:
-            if self.buffer.popleft() is not self._posted:  # else in history
-                self.dropped += 1
+            self.buffer.popleft()
+            self.dropped += 1
         self._poll_commands(now)
 
     def run(self, max_ticks: int = None, stop_when_exhausted: bool = False) -> None:

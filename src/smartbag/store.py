@@ -20,13 +20,20 @@ replay's time per record. The table is bounded in entry count and key
 length, so keys a client invents cannot grow it without limit.
 
 Services talk to a store through four client methods, which `Store` and
-`HttpStoreClient` both implement: `patch(path, doc)` returns the merged
-document, `get(path)` returns it or None, `post(path, doc)` appends to a
-history and returns `{"name": push_id}`, and `get_history(path, since=None,
-limit=None)` returns `HistoryEntry`s oldest first. A malformed path raises
-ValueError; an unreachable store raises StoreUnavailable. `Store` copies
-the documents that `patch`, `post` and `get` take and return, so a caller
-never shares state with it; `get_history` entries are shared, read-only.
+`HttpStoreClient` both implement with the same signatures: `patch(path,
+doc)` returns the merged document, `get(path)` returns it or None,
+`post(path, doc, latest=None)` appends to a history and returns `{"name":
+push_id}`, and `get_history(path, since=None, limit=None)` returns
+`HistoryEntry`s oldest first. A `post` that names a `latest` document path
+also merges the entry into that document, as a `patch` would, under the
+same lock and in the same log record: a crash leaves both effects or
+neither, and the gateway pushes a reading with one request. A malformed
+path, `latest` included, raises ValueError before anything is written; an
+unreachable store raises StoreUnavailable. `Store` copies the documents
+that `patch`, `post` and `get` take and return, so a caller never shares
+state with it; `get_history` entries are shared, read-only. Inside the
+store, a history entry and the document it was merged into share their
+subtrees: `merge_docs` builds new objects and never mutates its inputs.
 
 Transport: `HttpStoreClient` (and the alert webhook) sends each request
 through a `JsonConnection`, one kept-alive HTTP/1.1 connection per client
@@ -44,6 +51,8 @@ HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
     PATCH /bags/{id}/latest.json          merge body into the document
     GET   /bags/{id}/latest.json          current document or 404
     POST  /bags/{id}/history.json         append, returns {"name": pushId}
+    POST  /bags/{id}/history.json?latest=bags/{id}/latest
+                                          append and merge into `latest`
     GET   /bags/{id}/history.json?since=<pushId>&limit=<n>
 
 A GET is a history read exactly when it carries `since` or `limit`; any
@@ -137,7 +146,10 @@ def parse_path(path: str) -> tuple:
 
 
 def merge_docs(base, patch):
-    """Shallow merge per top-level key, recursing into nested objects."""
+    """Shallow merge per top-level key, recursing into nested objects.
+
+    Builds new dicts along the merged paths and mutates neither input, so
+    the result may share the values it takes from `base` and `patch`."""
     out = dict(base)
     for key, value in patch.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
@@ -235,6 +247,7 @@ class Store:
         return pos, size
 
     def _apply(self, record: dict) -> None:
+        """The effects of one log record; writes and replay both run it."""
         path = tuple(record["path"])
         if record["op"] == "patch":
             self.docs[path] = merge_docs(self.docs.get(path, {}), record["doc"])
@@ -242,6 +255,10 @@ class Store:
             entry = HistoryEntry(record["id"], record["doc"], record["ts"])
             self.history.setdefault(path, []).append(entry)
             self._observe_push_id(record["id"])
+            if "latest" in record:  # absent from logs written before it
+                latest = tuple(record["latest"])
+                self.docs[latest] = merge_docs(self.docs.get(latest, {}),
+                                               record["doc"])
         else:
             logger.warning("unknown log op %r", record["op"])
 
@@ -251,38 +268,41 @@ class Store:
         if not isinstance(doc, dict):
             raise BadDocument("PATCH body must be a JSON object")
         segments = parse_path(path)
-        doc = copy.deepcopy(doc)
+        record = {"op": "patch", "path": list(segments),
+                  "doc": copy.deepcopy(doc)}
         with self._lock:
-            self._log_record({"op": "patch", "path": list(segments), "doc": doc})
-            merged = merge_docs(self.docs.get(segments, {}), doc)
-            self.docs[segments] = merged
-            return copy.deepcopy(merged)
+            self._log_record(record)
+            self._apply(record)
+            return copy.deepcopy(self.docs[segments])
 
-    def get(self, path: str):
+    def get(self, path: str) -> dict | None:
         """Last merged document, or None when the path was never written."""
         segments = parse_path(path)
         with self._lock:
             return copy.deepcopy(self.docs.get(segments))
 
-    def append_history(self, path: str, doc: dict) -> str:
+    def append_history(self, path: str, doc: dict,
+                       latest: str | None = None) -> str:
+        """Append `doc` to the history at `path`; with `latest`, also merge
+        it into that document, in the same log record."""
         if not isinstance(doc, dict):
             raise BadDocument("history entry must be a JSON object")
-        segments = parse_path(path)
-        doc = copy.deepcopy(doc)
+        record = {"op": "append", "path": list(parse_path(path))}
+        if latest is not None:
+            record["latest"] = list(parse_path(latest))
+        record["doc"] = copy.deepcopy(doc)
         with self._lock:
-            push_id = self._next_push_id()
-            ts = self.clock.now_ms()
-            self._log_record({"op": "append", "path": list(segments),
-                              "doc": doc, "id": push_id, "ts": ts})
-            self.history.setdefault(segments, []).append(
-                HistoryEntry(push_id, doc, ts))
+            record["id"] = push_id = self._next_push_id()
+            record["ts"] = self.clock.now_ms()
+            self._log_record(record)
+            self._apply(record)
             return push_id
 
-    def post(self, path: str, doc: dict) -> dict:
-        return {"name": self.append_history(path, doc)}
+    def post(self, path: str, doc: dict, latest: str | None = None) -> dict:
+        return {"name": self.append_history(path, doc, latest)}
 
     def get_history(self, path: str, since: str | None = None,
-                    limit: int | None = None):
+                    limit: int | None = None) -> list:
         """Entries after `since` (exclusive), oldest first, capped at limit.
 
         Push ids within a history only grow, so the first entry after
@@ -370,26 +390,30 @@ class _Handler:
         return doc
 
     def _write(self, write):
-        """Reply with `write(path, body)`, or 400 if the store refuses it.
-        The body is read first, so a refused path leaves none of it unread."""
+        """Reply with `write(path, body, query params)`, or 400 if the store
+        refuses it. The body is read first, so a refused path leaves none of
+        it unread."""
         doc = self._read_doc()
         if doc is None:
             return
-        path, _ = self._path_and_query()
+        path, params = self._path_and_query()
         if path is None:
             return
         try:
-            result = write(path, doc)
+            result = write(path, doc, params)
         except StoreError as e:
             self._reply(400, {"error": str(e)})
             return
         self._reply(200, result)
 
     def do_PATCH(self):
-        self._write(self.store.patch)
+        self._write(lambda path, doc, _: self.store.patch(path, doc))
 
     def do_POST(self):
-        self._write(lambda path, doc: {"name": self.store.append_history(path, doc)})
+        def append(path, doc, query):
+            return {"name": self.store.append_history(
+                path, doc, latest=query.get("latest"))}
+        self._write(append)
 
     def do_GET(self):
         # no GET reads a body, and one left unread would be parsed as the
@@ -490,16 +514,18 @@ class HttpStoreClient:
                              f"{body.decode('utf-8', 'replace')}")
         return _loads(body.decode("utf-8"))
 
-    def patch(self, path: str, doc: dict):
+    def patch(self, path: str, doc: dict) -> dict:
         return self._request("PATCH", path, doc)
 
-    def post(self, path: str, doc: dict):
-        return self._request("POST", path, doc)
+    def post(self, path: str, doc: dict, latest: str | None = None) -> dict:
+        query = None if latest is None else {"latest": latest}
+        return self._request("POST", path, doc, query)
 
-    def get(self, path: str):
+    def get(self, path: str) -> dict | None:
         return self._request("GET", path)
 
-    def get_history(self, path: str, since=None, limit=None):
+    def get_history(self, path: str, since: str | None = None,
+                    limit: int | None = None) -> list:
         # `since` makes this a history read; "" reads from the start
         query = {"since": since or ""}
         if limit is not None:

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,19 +20,20 @@ class FlakyStore(Store):
         if self.down:
             raise StoreUnavailable("store down")
 
-    def patch(self, path, doc):
+    def patch(self, path: str, doc: dict) -> dict:
         self._check()
         return super().patch(path, doc)
 
-    def get(self, path):
+    def get(self, path: str) -> dict | None:
         self._check()
         return super().get(path)
 
-    def post(self, path, doc):
+    def post(self, path: str, doc: dict, latest: str | None = None) -> dict:
         self._check()
-        return super().post(path, doc)
+        return super().post(path, doc, latest)
 
-    def get_history(self, path, since=None, limit=None):
+    def get_history(self, path: str, since: str | None = None,
+                    limit: int | None = None) -> list:
         self._check()
         return super().get_history(path, since=since, limit=limit)
 

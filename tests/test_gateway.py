@@ -12,7 +12,7 @@ from test_frames import random_frame
 HISTORY = "bags/BAG1/history"
 
 
-def trace_lines(n, step_ms=1000, sos_at=None):
+def trace_lines(n, step_ms=1000, sos_at=None, water_at=None):
     lines = []
     rng = np.random.default_rng(0)
     for i in range(n):
@@ -20,6 +20,8 @@ def trace_lines(n, step_ms=1000, sos_at=None):
         fields = dict(frame.__dict__)
         fields.update(ts=i * step_ms, seq=i, device_id="BAG1",
                       sos=1 if i == sos_at else 0)
+        if water_at is not None:
+            fields["water"] = int(i == water_at)
         lines.append(encode_frame(SensorFrame(**fields)))
     return lines
 
@@ -40,7 +42,8 @@ def history_seqs(store):
 
 class LatestPatchFails(FlakyStore):
     """Fails the first `failures` PATCHes of `latest`; the POSTs before
-    them land."""
+    them land. The gateway writes `latest` through its POST, so these
+    failures must not touch its pushes."""
 
     def __init__(self, failures):
         super().__init__()
@@ -51,6 +54,36 @@ class LatestPatchFails(FlakyStore):
             self.failures -= 1
             raise StoreUnavailable("latest PATCH lost")
         return super().patch(path, doc)
+
+
+class CountingStore(FlakyStore):
+    """Records each write the gateway makes: (method, path, latest)."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def patch(self, path, doc):
+        self.writes.append(("patch", path, None))
+        return super().patch(path, doc)
+
+    def post(self, path, doc, latest=None):
+        self.writes.append(("post", path, latest))
+        return super().post(path, doc, latest)
+
+
+class PostFails(FlakyStore):
+    """Refuses the first `failures` POSTs, as an unreachable store would."""
+
+    def __init__(self, failures):
+        super().__init__()
+        self.failures = failures
+
+    def post(self, path, doc, latest=None):
+        if self.failures:
+            self.failures -= 1
+            raise StoreUnavailable("POST lost")
+        return super().post(path, doc, latest)
 
 
 class TestToRecord:
@@ -87,7 +120,7 @@ class TestToRecord:
 class TestPushLoop:
     def test_push_count_follows_period(self, flaky_store):
         # 5 frames at 1 Hz, 2 s period, 5 s of running: 2-3 pushes, each one
-        # history POST and one latest PATCH
+        # history POST that also merges into latest
         gw, clock = make_gateway(flaky_store, trace_lines(5), period=2000)
         end = 5000
         while clock.now_ms() <= end:
@@ -162,6 +195,44 @@ class TestPushLoop:
             clock.advance(2000)
         assert history_seqs(store) == [0, 1, 2]
         assert gw.dropped == 0
+
+    def test_one_store_write_per_record(self):
+        store = CountingStore()
+        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000))
+        for _ in range(3):
+            gw.tick()
+            clock.advance(2000)
+        assert store.writes == [("post", HISTORY, "bags/BAG1/latest")] * 3
+        assert history_seqs(store) == [0, 1, 2]
+        assert store.get("bags/BAG1/latest") == \
+            store.get_history(HISTORY)[-1].doc
+
+    def test_failed_post_is_sent_again_and_lands_once(self):
+        store = PostFails(failures=1)
+        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000))
+        gw.tick()
+        assert store.get_history(HISTORY) == []
+        assert store.get("bags/BAG1/latest") is None
+        for _ in range(2):
+            clock.advance(2000)
+            gw.tick()
+        assert history_seqs(store) == [0, 1, 2]
+        assert store.get("bags/BAG1/latest")["seq"] == 2
+        assert gw.dropped == 0 and not gw.buffer
+
+    @pytest.mark.parametrize("flag", ["sos", "water"])
+    def test_event_on_an_earlier_frame_of_the_window_is_pushed(
+            self, flaky_store, flag):
+        # 1 Hz frames, 2 s period: the flag is on frame 1, and the tick at
+        # 2 s pushes frame 2, the newest of frames 1 and 2
+        lines = trace_lines(5, step_ms=1000, **{f"{flag}_at": 1})
+        gw, clock = make_gateway(flaky_store, lines)
+        for _ in range(3):
+            gw.tick()
+            clock.advance(2000)
+        history = flaky_store.get_history(HISTORY)
+        assert [(e.doc["seq"], e.doc[flag]) for e in history] == \
+            [(0, 0), (2, 1), (4, 0)]
 
     def test_run_stops_when_trace_exhausted(self, flaky_store):
         gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))

@@ -1,8 +1,11 @@
+import copy
 import gc
 import http.client
+import inspect
 import json
 import socket
 import struct
+import sys
 import threading
 import tracemalloc
 import zlib
@@ -15,11 +18,13 @@ from smartbag import store as store_module
 from smartbag.clock import VirtualClock
 from smartbag.dataset import default_profiles
 from smartbag.frames import SimulatorSource
-from smartbag.gateway import to_record
+from smartbag.gateway import Gateway, GatewayConfig, to_record
 from smartbag.store import (
     MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
     StoreUnavailable, merge_docs,
 )
+
+from conftest import FlakyStore
 
 
 class TestMerge:
@@ -49,6 +54,14 @@ class TestMerge:
         base = {"a": {"x": 1, "y": 1}, "b": 3}
         assert merge_docs(base, {"a": {"y": 2}, "c": 4}) == {
             "a": {"x": 1, "y": 2}, "b": 3, "c": 4}
+
+    def test_merge_mutates_neither_input(self):
+        # the store lets a history entry and a document share subtrees
+        base = {"a": {"x": 1}, "b": {"y": 1}}
+        patch = {"a": {"x": 2}, "c": {"z": 1}}
+        before = copy.deepcopy((base, patch))
+        merge_docs(base, patch)
+        assert (base, patch) == before
 
 
 class TestGet:
@@ -156,20 +169,37 @@ class TestHistory:
     def test_concurrent_appends_unique_and_ordered(self):
         store = Store()
         results = [[] for _ in range(8)]
+        merged = []
+        # a large subtree makes each merge into `latest` long enough for a
+        # thread switch to land inside it
+        pad = {f"k{k}": k for k in range(1000)}
 
-        def worker(out):
+        def worker(w, out):
             for i in range(50):
-                out.append(store.append_history("h/c", {"i": i}))
+                out.append(store.append_history(
+                    "h/c", {f"w{w}": i, "pad": pad}, latest="h/latest"))
+                # only this worker writes its key: a lost merge shows here
+                merged.append(store.get("h/latest").get(f"w{w}") == i)
 
-        threads = [threading.Thread(target=worker, args=(r,)) for r in results]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=worker, args=(w, r))
+                   for w, r in enumerate(results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         all_ids = [i for r in results for i in r]
         assert len(set(all_ids)) == 400
         entries = store.get_history("h/c")
         assert [e.push_id for e in entries] == sorted(all_ids)
+        assert len(merged) == 400 and all(merged)
+        assert store.get("h/latest") == {
+            **{f"w{w}": 49 for w in range(8)}, "pad": pad}
 
 
 def random_ops(rng, n):
@@ -179,18 +209,31 @@ def random_ops(rng, n):
         doc = {f"k{rng.integers(0, 5)}": int(rng.integers(0, 100)),
                "nested": {f"x{rng.integers(0, 3)}": int(rng.integers(0, 10))}}
         if rng.random() < 0.5:
-            ops.append(("patch", path, doc))
+            ops.append(("patch", path, doc, None))
         else:
-            ops.append(("append", f"bags/dev{rng.integers(0, 3)}/history", doc))
+            # half the appends also merge into a document, as a push does
+            latest = path if rng.random() < 0.5 else None
+            ops.append(("append", f"bags/dev{rng.integers(0, 3)}/history",
+                        doc, latest))
     return ops
 
 
 def apply_ops(store, ops):
-    for op, path, doc in ops:
+    for op, path, doc, latest in ops:
         if op == "patch":
             store.patch(path, doc)
         else:
-            store.append_history(path, doc)
+            store.append_history(path, doc, latest=latest)
+
+
+def log_records(log) -> list:
+    """The decoded records of a whole, untorn WAL file."""
+    data, pos, records = log.read_bytes(), 0, []
+    while pos < len(data):
+        (length,) = struct.unpack_from("<I", data, pos)
+        records.append(json.loads(data[pos + 4:pos + 4 + length]))
+        pos += 4 + length + 4
+    return records
 
 
 class TestDurability:
@@ -285,6 +328,60 @@ class TestDurability:
         log.write_bytes(bytes(data))
         reopened = open_store(log)
         assert reopened.get("p/x") == {"k0": 0}
+
+    def test_combined_write_replays_whole_or_not_at_all(self, tmp_path,
+                                                        open_store):
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        store.patch("bags/a/latest", {"activity": "Walking"})
+        before = log.stat().st_size
+        push_id = store.post("bags/a/history", {"seq": 1, "gps": {"lat": 2}},
+                             latest="bags/a/latest")["name"]
+        store.close()
+        data = log.read_bytes()
+        assert [r["op"] for r in log_records(log)] == ["patch", "append"]
+        # a crash anywhere inside the combined record loses both effects
+        for cut in range(before, len(data)):
+            log.write_bytes(data[:cut])
+            torn = open_store(log)
+            assert torn.get_history("bags/a/history") == []
+            assert torn.get("bags/a/latest") == {"activity": "Walking"}
+            torn.close()
+        # the whole record replays to both
+        log.write_bytes(data)
+        whole = open_store(log)
+        assert [(e.push_id, e.doc) for e in whole.get_history(
+            "bags/a/history")] == [(push_id, {"seq": 1, "gps": {"lat": 2}})]
+        assert whole.get("bags/a/latest") == \
+            {"activity": "Walking", "seq": 1, "gps": {"lat": 2}}
+
+    def test_bad_latest_path_writes_nothing(self, tmp_path, open_store):
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        store.append_history("h/s", {"i": 0})
+        size = log.stat().st_size
+        with pytest.raises(BadPath):
+            store.append_history("h/s", {"i": 1}, latest="bad path/latest")
+        assert log.stat().st_size == size
+        assert [e.doc for e in store.get_history("h/s")] == [{"i": 0}]
+        assert store.docs == {}
+
+    def test_log_holds_one_record_per_push(self, tmp_path, open_store):
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        source = SimulatorSource(default_profiles(), seed=0)
+        clock = VirtualClock(0)
+        gw = Gateway(source, store, GatewayConfig(device_id="W"), clock=clock)
+        for _ in range(5):
+            gw.tick()
+            clock.advance(2000)
+        records = log_records(log)
+        assert [(r["op"], r["path"], r["latest"]) for r in records] == \
+            [("append", ["bags", "W", "history"], ["bags", "W", "latest"])] * 5
+        replayed = open_store(log)
+        assert replayed.get("bags/W/latest") == records[-1]["doc"]
+        assert replayed.docs == store.docs
+        assert replayed.history == store.history
 
     def test_empty_log_empty_store(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
@@ -590,6 +687,42 @@ def test_client_contract(client):
     client.post("bags/d/history", entry)
     entry["n"]["x"] = 2
     assert client.get_history("bags/d/history")[0].doc == {"n": {"x": 1}}
+
+    # post with `latest`: one write appends the entry and merges it into
+    # the document, as a patch of the same body would
+    client.patch("bags/e/latest", {"activity": "Walking", "n": {"x": 1}})
+    sent = {"seq": 1, "n": {"y": 2}, "gps": {"lat": 3}}
+    pushed = client.post("bags/e/history", sent, latest="bags/e/latest")
+    merged = {"activity": "Walking", "seq": 1, "n": {"x": 1, "y": 2},
+              "gps": {"lat": 3}}
+    assert client.get("bags/e/latest") == merged
+    assert [(e.push_id, e.doc) for e in client.get_history(
+        "bags/e/history")] == [(pushed["name"],
+                                {"seq": 1, "n": {"y": 2}, "gps": {"lat": 3}})]
+    # no aliasing: the caller's document, a read copy, and later merges
+    # into `latest` leave the entry and the document as they were written
+    sent["gps"]["lat"] = 4
+    client.get("bags/e/latest")["gps"]["lat"] = 5
+    assert client.get("bags/e/latest") == merged
+    client.patch("bags/e/latest", {"gps": {"lat": 6}, "n": {"x": 7}})
+    assert client.get_history("bags/e/history")[0].doc == \
+        {"seq": 1, "n": {"y": 2}, "gps": {"lat": 3}}
+    assert client.get("bags/e/latest") == dict(
+        merged, gps={"lat": 6}, n={"x": 7, "y": 2})
+    # a bad `latest` path is refused, and nothing is written
+    for latest in ("bags/no such/latest", ""):
+        with pytest.raises(ValueError):
+            client.post("bags/e/history", {"seq": 2}, latest=latest)
+    assert len(client.get_history("bags/e/history")) == 1
+    assert client.get("bags/e/latest")["seq"] == 1
+
+
+@pytest.mark.parametrize("method", ["patch", "get", "post", "get_history"])
+def test_clients_share_signatures(method):
+    # the gateway and the alert service run against any of the three
+    expected = inspect.signature(getattr(Store, method))
+    for cls in (HttpStoreClient, FlakyStore):
+        assert inspect.signature(getattr(cls, method)) == expected, cls
 
 
 def telemetry(n: int) -> list:
