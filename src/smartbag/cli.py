@@ -144,13 +144,11 @@ def _run_gateway(args, stop_when_exhausted: bool) -> int:
         source = _make_source(args, clock)
     except OSError as e:
         raise OperationalError(str(e))
-    gw = Gateway(
-        source,
-        _http(HttpStoreClient, args.store),
-        config,
-        clock=clock,
-        event_log_path=args.events,
-    )
+    except ValueError as e:  # a bad --speed
+        raise UsageError(f"--speed: {e}")
+    sinks = [alerts.NotificationLog(args.events)] if args.events else []
+    gw = Gateway(source, _http(HttpStoreClient, args.store), config,
+                 clock=clock, sinks=sinks)
     try:
         gw.run(stop_when_exhausted=stop_when_exhausted)
     except KeyboardInterrupt:

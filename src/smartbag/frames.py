@@ -191,6 +191,8 @@ class TraceSource:
     """
 
     def __init__(self, lines, start_ms: int, speed: float = 1.0):
+        if not (math.isfinite(speed) and speed > 0):
+            raise ValueError(f"speed must be finite and > 0, not {speed!r}")
         self.malformed = 0
         self._queue = []
         first_ts = None

@@ -7,17 +7,17 @@ buffered record, oldest first, with one store write that appends it to
 `bags/<device>/history` and merges it into `bags/<device>/latest`, and
 stops at the first failure. While the store is unreachable the buffer keeps
 the newest `buffer_capacity` records and counts the ones it drops. The
-gateway also polls `bags/<device>/commands` for the find-my-bag alarm flag
-and acknowledges it.
+gateway also polls `bags/<device>/commands` for the find-my-bag alarm flag,
+acknowledges it, and delivers an ALARM_TRIGGERED `AlertEvent` to its sinks.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass
 
+from .alerts import SEVERITY, AlertEvent
 from .clock import RealClock
 from .frames import SensorFrame
 # perfbench/pipeline.py imports HttpStoreClient from this module
@@ -62,25 +62,18 @@ class Gateway:
     """Drives one device's telemetry into the store on a fixed period."""
 
     def __init__(self, source, store, config: GatewayConfig = None, clock=None,
-                 event_log_path=None):
+                 sinks=()):
         self.source = source
         self.store = store
         self.config = config or GatewayConfig()
         self.clock = clock or RealClock()
-        self.event_log_path = event_log_path
+        self.sinks = list(sinks)
         self.buffer = deque()
         self.dropped = 0
         self.pushed_history = 0
         self.alarm_events = []
 
     # -- alarm command loop ----------------------------------------------
-
-    def _log_event(self, event: dict) -> None:
-        self.alarm_events.append(event)
-        logger.info("gateway event: %s", event)
-        if self.event_log_path is not None:
-            with open(self.event_log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(event) + "\n")
 
     def _poll_commands(self, now: int) -> None:
         path = f"bags/{self.config.device_id}/commands"
@@ -89,14 +82,13 @@ class Gateway:
         except StoreUnavailable:
             return
         if doc and doc.get("alarm") == 1:
-            self._log_event({
-                "ts": now,
-                "device": self.config.device_id,
-                "kind": "ALARM_TRIGGERED",
-                "severity": "INFO",
-                "activity": None,
-                "message": "find-my-bag alarm sounded",
-            })
+            event = AlertEvent("ALARM_TRIGGERED", SEVERITY["ALARM_TRIGGERED"],
+                               self.config.device_id, now,
+                               "find-my-bag alarm sounded")
+            self.alarm_events.append(event.to_json())
+            logger.info("gateway event: %s", self.alarm_events[-1])
+            for sink in self.sinks:
+                sink.deliver(event)
             try:
                 self.store.patch(path, {"alarm": 0, "ackTs": now})
             except StoreUnavailable:

@@ -29,11 +29,16 @@ also merges the entry into that document, as a `patch` would, under the
 same lock and in the same log record: a crash leaves both effects or
 neither, and the gateway pushes a reading with one request. A malformed
 path, `latest` included, raises ValueError before anything is written; an
-unreachable store raises StoreUnavailable. `Store` copies the documents
-that `patch`, `post` and `get` take and return, so a caller never shares
-state with it; `get_history` entries are shared, read-only. Inside the
-store, a history entry and the document it was merged into share their
-subtrees: `merge_docs` builds new objects and never mutates its inputs.
+unreachable store raises StoreUnavailable. A store keeps the JSON form of
+what it logged, with or without a log: each write serializes its record
+once, logs it, and applies the object decoded from those bytes, as replay
+does, so a tuple is kept as a list and an int key as a string. A refused
+write is undone: a document JSON cannot hold raises BadDocument, and a
+failed log append is cut from the log and raises StoreUnavailable (503 over
+HTTP). `patch` and `get` return copies; `get_history` entries are shared,
+read-only. Inside the store, a history entry and the document it was merged
+into share their subtrees: `merge_docs` builds new objects and never
+mutates its inputs.
 
 Transport: `HttpStoreClient` (and the alert webhook) sends each request
 through a `JsonConnection`, one kept-alive HTTP/1.1 connection per client
@@ -177,8 +182,9 @@ class Store:
         self.docs = {}
         self.history = {}
         self._lock = threading.Lock()
-        self._last_ms = -1
-        self._counter = 0
+        # the last push id issued or replayed, as an integer: milliseconds
+        # times 100000 plus a counter for ids within one millisecond
+        self._last_id = -1
         self._log = None
         if log_path is not None:
             try:
@@ -186,46 +192,47 @@ class Store:
                     valid, size = self._replay(fh)
             except FileNotFoundError:
                 valid = size = 0
-            self._log = open(log_path, "ab")
+            # unbuffered, so a failed write leaves no bytes behind to go out
+            # with the next one
+            self._log = open(log_path, "ab", buffering=0)
             if valid < size:
                 # new records must follow the valid prefix, or the next
                 # replay would stop at the torn tail before reaching them
                 logger.warning("store log: discarding %d bytes after offset %d",
                                size - valid, valid)
                 self._log.truncate(valid)
-
-    # -- push ids ---------------------------------------------------------
-
-    def _next_push_id(self) -> str:
-        """A 20-digit id greater than every id issued or replayed before."""
-        now = self.clock.now_ms()
-        if now > self._last_ms:
-            self._last_ms = now
-            self._counter = 0
-        elif self._counter < 99999:
-            # wall clock stalled or went backwards: fall back to the counter
-            self._counter += 1
-        else:
-            # the counter is full: carry into the millisecond field, so the
-            # id keeps its width and still sorts after the ones before it
-            self._last_ms += 1
-            self._counter = 0
-        return f"{self._last_ms:015d}{self._counter:05d}"
-
-    def _observe_push_id(self, push_id: str) -> None:
-        ms, counter = int(push_id[:15]), int(push_id[15:])
-        if (ms, counter) > (self._last_ms, self._counter):
-            self._last_ms, self._counter = ms, counter
+            self._log_end = valid  # where the last good record ends
 
     # -- log --------------------------------------------------------------
 
-    def _log_record(self, record: dict) -> None:
-        if self._log is None:
-            return
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        self._log.write(struct.pack("<I", len(payload)) + payload
-                        + struct.pack("<I", zlib.crc32(payload)))
-        self._log.flush()
+    def _commit(self, record: dict) -> None:
+        """Log `record` with one write, then apply the object that replay
+        decodes from the same bytes. Runs under the lock. A record that is
+        not JSON, or whose write fails, changes nothing: a failed write is
+        cut from the log, and if that fails too, every later write is
+        refused until a restart."""
+        try:
+            payload = json.dumps(record, separators=(",", ":"))
+        except (TypeError, ValueError) as e:  # a set, a cycle, a tuple key
+            raise BadDocument(f"document is not JSON: {e}") from None
+        if self._log is not None:
+            if self._log_end is None:
+                raise StoreUnavailable("store log unusable until restart")
+            data = payload.encode("utf-8")
+            data = (struct.pack("<I", len(data)) + data
+                    + struct.pack("<I", zlib.crc32(data)))
+            try:
+                if self._log.write(data) != len(data):
+                    raise OSError("short write")
+            except OSError as e:
+                try:
+                    self._log.truncate(self._log_end)
+                except OSError:
+                    logger.error("store log: cannot undo a failed write")
+                    self._log_end = None
+                raise StoreUnavailable(f"store log write failed: {e}") from None
+            self._log_end += len(data)
+        self._apply(_loads(payload))
 
     def _replay(self, fh) -> tuple:
         """Apply the longest valid prefix of the log open in `fh`, one
@@ -254,7 +261,7 @@ class Store:
         elif record["op"] == "append":
             entry = HistoryEntry(record["id"], record["doc"], record["ts"])
             self.history.setdefault(path, []).append(entry)
-            self._observe_push_id(record["id"])
+            self._last_id = max(self._last_id, int(record["id"]))
             if "latest" in record:  # absent from logs written before it
                 latest = tuple(record["latest"])
                 self.docs[latest] = merge_docs(self.docs.get(latest, {}),
@@ -268,11 +275,9 @@ class Store:
         if not isinstance(doc, dict):
             raise BadDocument("PATCH body must be a JSON object")
         segments = parse_path(path)
-        record = {"op": "patch", "path": list(segments),
-                  "doc": copy.deepcopy(doc)}
+        record = {"op": "patch", "path": list(segments), "doc": doc}
         with self._lock:
-            self._log_record(record)
-            self._apply(record)
+            self._commit(record)
             return copy.deepcopy(self.docs[segments])
 
     def get(self, path: str) -> dict | None:
@@ -290,12 +295,16 @@ class Store:
         record = {"op": "append", "path": list(parse_path(path))}
         if latest is not None:
             record["latest"] = list(parse_path(latest))
-        record["doc"] = copy.deepcopy(doc)
+        record["doc"] = doc
         with self._lock:
-            record["id"] = push_id = self._next_push_id()
+            # greater than every id issued or replayed before: the clock's
+            # millisecond, or one past the last id when the clock stalled,
+            # went back or filled its millisecond's counter. `_apply` moves
+            # `_last_id` to it once the write is committed.
+            last = max(self._last_id + 1, self.clock.now_ms() * 100000)
+            record["id"] = push_id = f"{last:020d}"
             record["ts"] = self.clock.now_ms()
-            self._log_record(record)
-            self._apply(record)
+            self._commit(record)
             return push_id
 
     def post(self, path: str, doc: dict, latest: str | None = None) -> dict:
@@ -403,6 +412,9 @@ class _Handler:
             result = write(path, doc, params)
         except StoreError as e:
             self._reply(400, {"error": str(e)})
+            return
+        except StoreUnavailable as e:  # nothing was written: safe to resend
+            self._reply(503, {"error": str(e)})
             return
         self._reply(200, result)
 

@@ -139,15 +139,22 @@ NO_CONFIG = object()  # run `alerts` without --config: values from flags
     (["alerts"], "poll_interval_ms=0\n", 1),
     (["alerts", "--interval", "-1"], NO_CONFIG, 2),
     (["alerts", "--interval", "0"], NO_CONFIG, 2),
+    (["replay", "--speed", "0"], None, 2),
+    (["replay", "--speed", "nan"], None, 2),
+    (["replay", "--speed", "-1"], None, 2),  # would reverse the schedule
 ], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
         "config-missing", "mq2_max-abc", "dedup_window_ms-neg",
-        "poll_interval_ms-0", "interval-neg", "interval-0"])
+        "poll_interval_ms-0", "interval-neg", "interval-0", "speed-0",
+        "speed-nan", "speed-neg"])
 def test_bad_values_exit_cleanly(argv, config, code, data_csv, tmp_path,
                                  capsys):
     conf = tmp_path / "alerts.conf"
+    trace = tmp_path / "trace.txt"
+    trace.write_text("")
     argv = argv + {
         "train": ["--data", data_csv, "--out", str(tmp_path / "m.bagm")],
         "gateway": ["--store", "http://127.0.0.1:9"],
+        "replay": ["--store", "http://127.0.0.1:9", "--trace", str(trace)],
         "alerts": ["--store", "http://127.0.0.1:9",
                    "--model", str(tmp_path / "m.bagm")]
         + ([] if config is NO_CONFIG else ["--config", str(conf)]),

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from smartbag.alerts import NotificationLog
 from smartbag.clock import VirtualClock
 from smartbag.frames import SensorFrame, TraceSource, encode_frame
 from smartbag.gateway import Gateway, GatewayConfig, to_record
@@ -260,6 +263,11 @@ class TestAlarmAck:
         flaky_store.patch("bags/BAG1/commands", {"alarm": 1})
         log = tmp_path / "events.jsonl"
         gw = Gateway(TraceSource([], 0), flaky_store, GatewayConfig(),
-                     clock=clock, event_log_path=str(log))
+                     clock=clock, sinks=[NotificationLog(str(log))])
         gw.tick()
-        assert "ALARM_TRIGGERED" in log.read_text()
+        # the bytes of the gateway's former hand-built event line
+        assert log.read_bytes() == (
+            b'{"ts": 0, "device": "BAG1", "kind": "ALARM_TRIGGERED", '
+            b'"severity": "INFO", "activity": null, '
+            b'"message": "find-my-bag alarm sounded"}\n')
+        assert gw.alarm_events == [json.loads(log.read_text())]

@@ -1,14 +1,19 @@
 import copy
+import errno
 import gc
 import http.client
 import inspect
 import json
+import os
 import socket
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,36 @@ from smartbag.store import (
 )
 
 from conftest import FlakyStore
+
+
+def wal(records) -> bytes:
+    """A whole WAL file holding `records`."""
+    data = b""
+    for record in records:
+        payload = json.dumps(record).encode()
+        data += (struct.pack("<I", len(payload)) + payload
+                 + struct.pack("<I", zlib.crc32(payload)))
+    return data
+
+
+def former_push_ids(last_id, clock_ms) -> list:
+    """Push ids by the store's former two-field rule, kept as a reference:
+    a 15-digit millisecond field and a 5-digit counter that counts ids
+    while the clock stalls or goes back, and carries into the milliseconds
+    when it is full. `last_id` is the last id replayed, if any; one id is
+    issued at each time in `clock_ms`."""
+    last_ms, counter = (-1, 0) if last_id is None else \
+        (int(last_id[:15]), int(last_id[15:]))
+    ids = []
+    for now in clock_ms:
+        if now > last_ms:
+            last_ms, counter = now, 0
+        elif counter < 99999:
+            counter += 1
+        else:
+            last_ms, counter = last_ms + 1, 0
+        ids.append(f"{last_ms:015d}{counter:05d}")
+    return ids
 
 
 class TestMerge:
@@ -150,10 +185,8 @@ class TestHistory:
         # a log whose last id used up its millisecond's counter
         log = tmp_path / "store.wal"
         last = f"{1000:015d}{99999:05d}"
-        payload = json.dumps({"op": "append", "path": ["h", "s"],
-                              "doc": {"n": 0}, "id": last, "ts": 1000}).encode()
-        log.write_bytes(struct.pack("<I", len(payload)) + payload
-                        + struct.pack("<I", zlib.crc32(payload)))
+        log.write_bytes(wal([{"op": "append", "path": ["h", "s"],
+                              "doc": {"n": 0}, "id": last, "ts": 1000}]))
         store = Store(log_path=str(log), clock=VirtualClock(1000))
         ids = [store.append_history("h/s", {"n": i}) for i in range(1, 4)]
         store.close()
@@ -165,6 +198,32 @@ class TestHistory:
         reopened.clock = VirtualClock(1000)
         following = reopened.append_history("h/s", {"n": 4})
         assert len(following) == 20 and following > ids[-1]
+
+    def test_push_ids_match_the_former_rule(self, tmp_path):
+        # one integer, max(last + 1, ms * 100000), gives the former ids
+        # under stalls, a clock that goes back, full counters, replayed ids
+        # and restarts
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            log = tmp_path / f"{trial}.wal"
+            clock = VirtualClock(int(rng.integers(0, 10**6)))
+            replayed = None
+            if trial % 2:  # a log whose last id is near a full counter
+                replayed = (f"{clock.now_ms() + int(rng.integers(-3, 3)):015d}"
+                            f"{99999 - int(rng.integers(0, 150)):05d}")
+                log.write_bytes(wal([{"op": "append", "path": ["h", "s"],
+                                      "doc": {}, "id": replayed, "ts": 0}]))
+            store = Store(log_path=str(log), clock=clock)
+            times, ids = [], []
+            for _ in range(200):
+                clock.advance(int(rng.choice([0, 0, 0, 0, 1, 7, -2, -40])))
+                if rng.random() < 0.02:
+                    store.close()
+                    store = Store(log_path=str(log), clock=clock)
+                times.append(clock.now_ms())
+                ids.append(store.append_history("h/s", {}))
+            store.close()
+            assert ids == former_push_ids(replayed, times), trial
 
     def test_concurrent_appends_unique_and_ordered(self):
         store = Store()
@@ -383,6 +442,106 @@ class TestDurability:
         assert replayed.docs == store.docs
         assert replayed.history == store.history
 
+    def test_live_state_is_the_replayed_state(self, tmp_path, open_store):
+        # a store keeps the JSON form of what it logged, with or without a
+        # log: a tuple is kept as a list, an int key as a string
+        log = tmp_path / "store.wal"
+        stores = (Store(), open_store(log))
+        for store in stores:
+            assert store.patch("p/x", {"pair": (1, 2), 7: "int key"}) == \
+                {"pair": [1, 2], "7": "int key"}
+            store.append_history("h/s", {"pair": (3, 4), 8: {9: "nested"}},
+                                 latest="p/y")
+            assert store.get("p/y") == {"pair": [3, 4], "8": {"9": "nested"}}
+            assert store.get_history("h/s")[0].doc == store.get("p/y")
+        replayed = open_store(log)
+        for store in stores:
+            assert store.docs == replayed.docs
+            assert [e.doc for e in store.history[("h", "s")]] == \
+                [e.doc for e in replayed.history[("h", "s")]]
+
+    @pytest.mark.parametrize("doc", [
+        {"s": {1, 2}}, {(1, 2): "tuple key"}, "cycle"],
+        ids=["set", "tuple-key", "cycle"])
+    def test_non_json_document_refused_alike(self, tmp_path, open_store, doc):
+        if doc == "cycle":
+            doc = {}
+            doc["self"] = doc
+        log = tmp_path / "store.wal"
+        for store in (Store(), open_store(log)):
+            with pytest.raises(BadDocument):
+                store.patch("p/x", doc)
+            with pytest.raises(BadDocument):
+                store.append_history("h/s", doc, latest="p/x")
+            assert store.docs == {} and store.history == {}
+            assert store.patch("p/x", {"n": 1}) == {"n": 1}
+        assert open_store(log).docs == {("p", "x"): {"n": 1}}
+
+    @pytest.mark.parametrize("room", [0, 100],
+                             ids=["limit-at-file-size", "torn-record"])
+    def test_failed_log_write_leaves_no_trace(self, tmp_path, room):
+        # the store process lowers its own file-size limit so that one
+        # patch's log append fails with EFBIG, as a full disk fails with
+        # ENOSPC, after `room` of its bytes are written
+        code = textwrap.dedent("""
+            import json, os, resource, signal, sys
+            from smartbag.store import Store
+            log, room = sys.argv[1], int(sys.argv[2])
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            store = Store(log_path=log)
+            store.patch("p/x", {"n": 1})
+            limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+            resource.setrlimit(resource.RLIMIT_FSIZE,
+                               (os.path.getsize(log) + room, limits[1]))
+            try:
+                store.patch("p/x", {"pad": "x" * 1000})
+                refused = None
+            except Exception as e:
+                refused = type(e).__name__
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            store.patch("p/x", {"n": 2})
+            store.patch("p/x", {"n": 3})
+            live = store.get("p/x")
+            store.close()
+            print(json.dumps([refused, live, Store(log_path=log).get("p/x")]))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(store_module.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "store.wal"),
+             str(room)], env=env, capture_output=True, check=True, timeout=60)
+        # [exception raised by the failed patch, live document, document
+        # after a restart]
+        assert json.loads(proc.stdout) == ["StoreUnavailable", {"n": 3},
+                                           {"n": 3}]
+
+    def test_failed_undo_refuses_writes_until_restart(self, tmp_path,
+                                                      open_store):
+        class BrokenDisk:
+            def write(self, data):
+                raise OSError(errno.EIO, "I/O error")
+
+            truncate = write
+
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        store.patch("p/x", {"n": 1})
+        good = store._log
+        store._log = BrokenDisk()
+        with pytest.raises(StoreUnavailable):
+            store.patch("p/x", {"n": 2})
+        # the disk recovers, but the store cannot know what the failed
+        # write left in the log
+        store._log = good
+        with pytest.raises(StoreUnavailable):
+            store.append_history("h/s", {"n": 3})
+        assert store.get("p/x") == {"n": 1} and store.history == {}
+        restarted = open_store(log)
+        assert restarted.get("p/x") == {"n": 1}
+        assert restarted.patch("p/x", {"n": 4}) == {"n": 4}
+
     def test_empty_log_empty_store(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
         log.write_bytes(b"")
@@ -563,7 +722,50 @@ def make_client():
         client.close()
 
 
+class FailsOnce:
+    """Stands in for a store's log file: its first write fails, as on a
+    full disk; the rest go to the real file."""
+
+    def __init__(self, log):
+        self.log = log
+        self.failed = False
+
+    def write(self, data):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.log.write(data)
+
+    def truncate(self, size):
+        return self.log.truncate(size)
+
+    def close(self):
+        self.log.close()
+
+
 class TestHttpClientFailures:
+    def test_failed_log_write_answers_503(self, tmp_path, make_client):
+        log = str(tmp_path / "s.wal")
+        srv = StoreServer(Store(log_path=log, clock=VirtualClock(7))).start()
+        srv.store._log = FailsOnce(srv.store._log)
+        url = f"{srv.base_url}/bags/a/history.json?latest=bags/a/latest"
+        try:
+            # nothing was written, so the client may send the record again
+            assert requests.post(url, json={"n": 1}).status_code == 503
+            client = make_client(srv.base_url)
+            pushed = client.post("bags/a/history", {"n": 1},
+                                 latest="bags/a/latest")["name"]
+            # the refused write did not use up a push id either
+            assert pushed == f"{7:015d}{0:05d}"
+            assert [(e.push_id, e.doc) for e in client.get_history(
+                "bags/a/history")] == [(pushed, {"n": 1})]
+        finally:
+            srv.stop()
+        replayed = Store(log_path=log)
+        assert replayed.get("bags/a/latest") == {"n": 1}
+        assert len(replayed.get_history("bags/a/history")) == 1
+        replayed.close()
+
     def test_connection_refused(self, make_client):
         client = make_client(f"http://127.0.0.1:{unused_port()}")
         with pytest.raises(StoreUnavailable):
