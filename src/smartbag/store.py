@@ -341,6 +341,14 @@ class Store:
 # --- HTTP layer ----------------------------------------------------------
 
 
+class _Refused(Exception):
+    """A request answered with `status`; `close` also ends the connection."""
+
+    def __init__(self, status: int, message: str, close: bool = False):
+        super().__init__(message)
+        self.status, self.close = status, close
+
+
 class _Handler:
     """The store's request handling; `StoreServer` mixes it into
     `http.server.BaseHTTPRequestHandler`."""
@@ -361,99 +369,81 @@ class _Handler:
         self.end_headers()
         self.wfile.write(data)
 
-    def _path_and_query(self):
+    def _serve(self, answer) -> None:
+        """Reply 200 with `answer()`, or with the error status for what it
+        raises; the only caller of `_reply`."""
+        try:
+            body = answer()
+        except _Refused as e:
+            self._reply(e.status, {"error": str(e)}, close=e.close)
+        except StoreUnavailable as e:  # nothing was written: safe to resend
+            self._reply(503, {"error": str(e)})
+        except ValueError as e:  # StoreError, or a bad limit
+            self._reply(400, {"error": str(e)})
+        else:
+            self._reply(200, body)
+
+    def _path(self) -> tuple:
+        """The store path and the query parameters of the request."""
         path, _, query = self.path.partition("?")
         if not path.endswith(".json"):
-            self._reply(400, {"error": "path must end with .json"})
-            return None, None
+            raise _Refused(400, "path must end with .json")
         # keep_blank_values: `since=` means "from the start"
         return path[:-len(".json")], dict(parse_qsl(query, keep_blank_values=True))
 
-    def _read_doc(self):
-        # a body left unread would be parsed as the next request, so each
-        # refusal here also closes the connection
+    def _body(self):
+        """The request's JSON body, read before the path is checked. A body
+        left unread would be parsed as the next request, so each refusal to
+        read one also closes the connection."""
         if "Transfer-Encoding" in self.headers:
-            self._reply(400, {"error": "Transfer-Encoding is not supported"},
-                        close=True)
-            return None
+            raise _Refused(400, "Transfer-Encoding is not supported",
+                           close=True)
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
         if length < 0:
-            self._reply(400, {"error": "bad Content-Length"}, close=True)
-            return None
+            raise _Refused(400, "bad Content-Length", close=True)
         if length > MAX_BODY_BYTES:
-            self._reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"},
-                        close=True)
-            return None
-        raw = self.rfile.read(length)
+            raise _Refused(413, f"body over {MAX_BODY_BYTES} bytes",
+                           close=True)
         try:
-            doc = _loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._reply(400, {"error": "body is not valid JSON"})
-            return None
-        if not isinstance(doc, dict):
-            self._reply(400, {"error": "body must be a JSON object"})
-            return None
-        return doc
-
-    def _write(self, write):
-        """Reply with `write(path, body, query params)`, or 400 if the store
-        refuses it. The body is read first, so a refused path leaves none of
-        it unread."""
-        doc = self._read_doc()
-        if doc is None:
-            return
-        path, params = self._path_and_query()
-        if path is None:
-            return
-        try:
-            result = write(path, doc, params)
-        except StoreError as e:
-            self._reply(400, {"error": str(e)})
-            return
-        except StoreUnavailable as e:  # nothing was written: safe to resend
-            self._reply(503, {"error": str(e)})
-            return
-        self._reply(200, result)
+            return _loads(self.rfile.read(length).decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
+            raise _Refused(400, "body is not valid JSON") from None
 
     def do_PATCH(self):
-        self._write(lambda path, doc, _: self.store.patch(path, doc))
+        def patch():
+            doc = self._body()
+            return self.store.patch(self._path()[0], doc)
+        self._serve(patch)
 
     def do_POST(self):
-        def append(path, doc, query):
+        def append():
+            doc = self._body()
+            path, query = self._path()
             return {"name": self.store.append_history(
                 path, doc, latest=query.get("latest"))}
-        self._write(append)
+        self._serve(append)
 
     def do_GET(self):
-        # no GET reads a body, and one left unread would be parsed as the
-        # next request, so a GET that carries one closes the connection
-        if (self.headers.get("Content-Length", "0").strip() != "0"
-                or "Transfer-Encoding" in self.headers):
-            self._reply(400, {"error": "GET takes no body"}, close=True)
-            return
-        path, params = self._path_and_query()
-        if path is None:
-            return
-        try:
-            if "since" in params or "limit" in params:
-                limit = int(params["limit"]) if "limit" in params else None
-                entries = self.store.get_history(
-                    path, since=params.get("since"), limit=limit)
-                self._reply(200, [
-                    {"id": e.push_id, "ts": e.server_ts, "doc": e.doc}
-                    for e in entries])
-                return
+        def read():
+            # no GET reads a body, so one that carries a body closes the
+            # connection, as `_body` does
+            if (self.headers.get("Content-Length", "0").strip() != "0"
+                    or "Transfer-Encoding" in self.headers):
+                raise _Refused(400, "GET takes no body", close=True)
+            path, query = self._path()
+            if "since" in query or "limit" in query:
+                limit = int(query["limit"]) if "limit" in query else None
+                return [{"id": e.push_id, "ts": e.server_ts, "doc": e.doc}
+                        for e in self.store.get_history(
+                            path, since=query.get("since"), limit=limit)]
             doc = self.store.get(path)
-        except ValueError as e:  # StoreError, or a bad limit
-            self._reply(400, {"error": str(e)})
-            return
-        if doc is None:
-            self._reply(404, {"error": "not found"})
-        else:
-            self._reply(200, doc)
+            if doc is None:
+                raise _Refused(404, "not found")
+            return doc
+        self._serve(read)
 
 
 class JsonConnection:

@@ -702,6 +702,114 @@ class TestHttp:
         assert requests.post(url, json={"n": 1}).status_code == 200
 
 
+def raw_request(method: str, target: str, body: bytes = b"",
+                headers: str = "") -> bytes:
+    """One HTTP/1.1 request as bytes; a body gets its Content-Length."""
+    if body:
+        headers += f"Content-Length: {len(body)}\r\n"
+    return (f"{method} {target} HTTP/1.1\r\nHost: x\r\n{headers}\r\n"
+            .encode() + body)
+
+
+def read_replies(sock) -> list:
+    """Every reply the server sends on `sock` until it closes the
+    connection, as (status, header block, body)."""
+    data = b""
+    try:
+        while chunk := sock.recv(65536):
+            data += chunk
+    except ConnectionResetError:  # closed with our bytes unread
+        pass
+    replies = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        replies.append((int(head[9:12]), head, rest[:length]))
+        data = rest[length:]
+    return replies
+
+
+@pytest.fixture(scope="module")
+def refusing_server(tmp_path_factory):
+    """A server whose store holds bags/b1/latest = {"ok": 1} and refuses
+    every write with 503, as after a log write it could not undo. Every
+    other refusal is decided before a write reaches the log. Shared by the
+    rows of the table: each row checks that it left the store as it was."""
+    log = tmp_path_factory.mktemp("refusals") / "s.wal"
+    srv = StoreServer(Store(log_path=str(log))).start()
+    srv.store.patch("bags/b1/latest", {"ok": 1})
+    srv.store._log_end = None  # the log is unusable until a restart
+    yield srv
+    srv.stop()
+
+
+DOC = b'{"a": 1}'
+
+# (request, status, whether the reply closes the connection). A refusal
+# that leaves a body unread must close: the body would be parsed as the
+# next request. The closing requests send no body at all, so the server
+# is seen to refuse without waiting for one.
+REFUSALS = {
+    "missing-json-suffix": (raw_request("PATCH", "/bags/b1/latest", DOC),
+                            400, False),
+    "invalid-json": (raw_request("PATCH", "/bags/b1/latest.json",
+                                 b"not json"), 400, False),
+    "invalid-utf8": (raw_request("PATCH", "/bags/b1/latest.json",
+                                 b'{"a": "\xff"}'), 400, False),
+    "nested-json": (raw_request("PATCH", "/bags/b1/latest.json",
+                                b"[" * 100_000 + b"]" * 100_000), 400, False),
+    "array-patch": (raw_request("PATCH", "/bags/b1/latest.json", b"[1]"),
+                    400, False),
+    "array-post": (raw_request("POST", "/bags/b1/history.json", b"[1]"),
+                   400, False),
+    "bad-segment": (raw_request("GET", "/bags/no%20such/latest.json"),
+                    400, False),
+    "bad-latest": (raw_request(
+        "POST", "/bags/b1/history.json?latest=bags/no%20such", DOC),
+        400, False),
+    "limit-abc": (raw_request("GET", "/bags/b1/history.json?limit=abc"),
+                  400, False),
+    "limit-negative": (raw_request("GET", "/bags/b1/history.json?limit=-1"),
+                       400, False),
+    "not-found": (raw_request("GET", "/bags/none/latest.json"), 404, False),
+    "unavailable": (raw_request("PATCH", "/bags/b1/latest.json", DOC),
+                    503, False),
+    "content-length-abc": (raw_request(
+        "POST", "/bags/b1/history.json", headers="Content-Length: abc\r\n"),
+        400, True),
+    "content-length-negative": (raw_request(
+        "POST", "/bags/b1/history.json", headers="Content-Length: -1\r\n"),
+        400, True),
+    "content-length-oversized": (raw_request(
+        "POST", "/bags/b1/history.json",
+        headers=f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"), 413, True),
+    "chunked": (raw_request("POST", "/bags/b1/history.json",
+                            headers="Transfer-Encoding: chunked\r\n"),
+                400, True),
+    "get-with-body": (raw_request("GET", "/bags/b1/latest.json",
+                                  headers="Content-Length: 8\r\n"), 400, True),
+}
+
+
+@pytest.mark.parametrize("request_, status, close", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_refusal_table(refusing_server, request_, status, close):
+    # a connection kept open must answer a second request on its own
+    follow_up = raw_request("GET", "/bags/b1/latest.json",
+                            headers="Connection: close\r\n")
+    with socket.create_connection(
+            refusing_server.httpd.server_address[:2], timeout=5) as sock:
+        sock.sendall(request_ if close else request_ + follow_up)
+        replies = read_replies(sock)
+    assert [r[0] for r in replies] == ([status] if close else [status, 200])
+    assert (b"Connection: close" in replies[0][1]) == close
+    assert list(json.loads(replies[0][2])) == ["error"]
+    if not close:
+        assert json.loads(replies[1][2]) == {"ok": 1}
+    assert refusing_server.store.get("bags/b1/latest") == {"ok": 1}
+    assert refusing_server.store.history == {}
+
+
 def unused_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
