@@ -33,12 +33,13 @@ unreachable store raises StoreUnavailable. A store keeps the JSON form of
 what it logged, with or without a log: each write serializes its record
 once, logs it, and applies the object decoded from those bytes, as replay
 does, so a tuple is kept as a list and an int key as a string. A refused
-write is undone: a document JSON cannot hold raises BadDocument, and a
-failed log append is cut from the log and raises StoreUnavailable (503 over
-HTTP). `patch` and `get` return copies; `get_history` entries are shared,
-read-only. Inside the store, a history entry and the document it was merged
-into share their subtrees: `merge_docs` builds new objects and never
-mutates its inputs.
+write is undone: a document JSON cannot hold, or one that nests objects and
+arrays deeper than MAX_DOC_DEPTH (64) levels, raises BadDocument, and a
+failed log append is cut from the log and raises StoreUnavailable. A closed
+store with a log refuses every write with StoreUnavailable. `patch` and
+`get` return copies; `get_history` entries are shared, read-only. Inside
+the store, a history entry and the document it was merged into share their
+subtrees: `merge_docs` builds new objects and never mutates its inputs.
 
 Transport: `HttpStoreClient` (and the alert webhook) sends each request
 through a `JsonConnection`, one kept-alive HTTP/1.1 connection per client
@@ -64,6 +65,14 @@ A GET is a history read exactly when it carries `since` or `limit`; any
 other GET reads the document. A history read always answers with a list,
 empty for a path with no history. `since=` (empty) reads from the start,
 since the empty string sorts before every push id.
+
+The server answers 200 with the result; 404 to a GET of a document never
+written; 413 to a body over MAX_BODY_BYTES; 503 when the store cannot log a
+write, which wrote nothing and is safe to resend; and 400 to a path without
+`.json`, a malformed path or `latest`, a bad `limit`, a body that is not
+UTF-8 JSON or not an object, a document over MAX_DOC_DEPTH levels deep, a
+bad `Content-Length`, a chunked body, or a GET with a body, where the last
+three and the 413, which leave a body unread, also close the connection.
 """
 
 from __future__ import annotations
@@ -91,6 +100,11 @@ _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 # the largest request body the server reads; a longer one gets 413
 MAX_BODY_BYTES = 1 << 20
+
+# the deepest nesting of objects and arrays a stored document may have; a
+# deeper one raises BadDocument. Copying and encoding a document recurse
+# once per level, and a gateway record is 2 levels deep.
+MAX_DOC_DEPTH = 64
 
 # bounds on the shared key table: keys past either are decoded as they are,
 # unshared, so keys a client invents cannot grow the table without limit. A
@@ -148,6 +162,19 @@ def parse_path(path: str) -> tuple:
     if not segments or any(not _SEGMENT_RE.match(s) for s in segments):
         raise BadPath(f"malformed path {path!r}")
     return segments
+
+
+def _check_depth(doc: dict) -> None:
+    """Raise BadDocument when `doc` nests objects and arrays deeper than
+    MAX_DOC_DEPTH; depth first, so a cycle fails within that many steps."""
+    stack = [(doc, 1)]
+    while stack:
+        node, depth = stack.pop()
+        for child in node.values() if isinstance(node, dict) else node:
+            if isinstance(child, (dict, list, tuple)):
+                if depth == MAX_DOC_DEPTH:
+                    raise BadDocument(f"document over {MAX_DOC_DEPTH} levels deep")
+                stack.append((child, depth + 1))
 
 
 def merge_docs(base, patch):
@@ -208,12 +235,13 @@ class Store:
     def _commit(self, record: dict) -> None:
         """Log `record` with one write, then apply the object that replay
         decodes from the same bytes. Runs under the lock. A record that is
-        not JSON, or whose write fails, changes nothing: a failed write is
-        cut from the log, and if that fails too, every later write is
-        refused until a restart."""
+        not JSON or nests too deep, or whose write fails, changes nothing:
+        a failed write is cut from the log, and if that fails too, every
+        later write is refused until a restart."""
+        _check_depth(record["doc"])
         try:
             payload = json.dumps(record, separators=(",", ":"))
-        except (TypeError, ValueError) as e:  # a set, a cycle, a tuple key
+        except TypeError as e:  # a set, a tuple key; a cycle nests too deep
             raise BadDocument(f"document is not JSON: {e}") from None
         if self._log is not None:
             if self._log_end is None:
@@ -333,9 +361,10 @@ class Store:
         return parse_path(path) in self.history
 
     def close(self) -> None:
+        """Close the log; a store with a log then refuses every write."""
         if self._log is not None:
             self._log.close()
-            self._log = None
+            self._log_end = None
 
 
 # --- HTTP layer ----------------------------------------------------------
@@ -409,7 +438,7 @@ class _Handler:
                            close=True)
         try:
             return _loads(self.rfile.read(length).decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError included
+        except (ValueError, RecursionError):  # bad UTF-8, or nested too deep
             raise _Refused(400, "body is not valid JSON") from None
 
     def do_PATCH(self):

@@ -9,7 +9,7 @@ import pytest
 
 from smartbag import nn
 from smartbag.cli import main
-from smartbag.store import Store, StoreServer
+from smartbag.store import Store, StoreServer, StoreUnavailable
 
 
 class TestGen:
@@ -100,7 +100,9 @@ class TestServices:
         finally:
             sock.close()
         assert code == 1
-        assert len(closed) == 1 and closed[0]._log is None
+        assert len(closed) == 1 and closed[0]._log.closed
+        with pytest.raises(StoreUnavailable):
+            closed[0].patch("p/x", {"n": 1})
 
     def test_alarm_against_live_store(self, capsys):
         server = StoreServer(Store()).start()

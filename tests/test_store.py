@@ -25,7 +25,7 @@ from smartbag.dataset import default_profiles
 from smartbag.frames import SimulatorSource
 from smartbag.gateway import Gateway, GatewayConfig, to_record
 from smartbag.store import (
-    MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
+    MAX_BODY_BYTES, MAX_DOC_DEPTH, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
     StoreUnavailable, merge_docs,
 )
 
@@ -261,6 +261,14 @@ class TestHistory:
             **{f"w{w}": 49 for w in range(8)}, "pad": pad}
 
 
+def nested(depth: int) -> dict:
+    """A document of objects nested `depth` levels deep."""
+    doc = {}
+    for _ in range(depth - 1):
+        doc = {"n": doc}
+    return doc
+
+
 def random_ops(rng, n):
     ops = []
     for _ in range(n):
@@ -461,12 +469,14 @@ class TestDurability:
                 [e.doc for e in replayed.history[("h", "s")]]
 
     @pytest.mark.parametrize("doc", [
-        {"s": {1, 2}}, {(1, 2): "tuple key"}, "cycle"],
-        ids=["set", "tuple-key", "cycle"])
+        {"s": {1, 2}}, {(1, 2): "tuple key"}, "cycle", "deep"],
+        ids=["set", "tuple-key", "cycle", "deep"])
     def test_non_json_document_refused_alike(self, tmp_path, open_store, doc):
         if doc == "cycle":
             doc = {}
             doc["self"] = doc
+        elif doc == "deep":  # past the JSON encoder's recursion limit
+            doc = nested(100_000)
         log = tmp_path / "store.wal"
         for store in (Store(), open_store(log)):
             with pytest.raises(BadDocument):
@@ -541,6 +551,23 @@ class TestDurability:
         restarted = open_store(log)
         assert restarted.get("p/x") == {"n": 1}
         assert restarted.patch("p/x", {"n": 4}) == {"n": 4}
+
+    def test_closed_store_refuses_writes(self, tmp_path, open_store):
+        log = tmp_path / "store.wal"
+        store = open_store(log)
+        store.patch("p/x", {"n": 1})
+        store.append_history("h/s", {"n": 1})
+        store.close()
+        # a write acknowledged after close would be lost at the restart
+        with pytest.raises(StoreUnavailable):
+            store.patch("p/x", {"n": 2})
+        with pytest.raises(StoreUnavailable):
+            store.append_history("h/s", {"n": 2}, latest="p/x")
+        assert store.get("p/x") == {"n": 1}
+        assert len(store.get_history("h/s")) == 1
+        reopened = open_store(log)
+        assert reopened.docs == store.docs
+        assert reopened.history == store.history
 
     def test_empty_log_empty_store(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
@@ -1025,6 +1052,21 @@ def test_client_contract(client):
             client.post("bags/e/history", {"seq": 2}, latest=latest)
     assert len(client.get_history("bags/e/history")) == 1
     assert client.get("bags/e/latest")["seq"] == 1
+
+    # a document nested past the bound is refused, and nothing is written;
+    # one at the bound round-trips
+    for too_deep in (nested(MAX_DOC_DEPTH + 1), nested(520)):
+        with pytest.raises(ValueError):
+            client.patch("bags/f/latest", too_deep)
+        with pytest.raises(ValueError):
+            client.post("bags/f/history", too_deep, latest="bags/f/latest")
+    assert client.get("bags/f/latest") is None
+    assert client.get_history("bags/f/history") == []
+    deepest = nested(MAX_DOC_DEPTH)
+    assert client.patch("bags/f/latest", deepest) == deepest
+    assert client.get("bags/f/latest") == deepest
+    client.post("bags/f/history", deepest)
+    assert client.get_history("bags/f/history")[0].doc == deepest
 
 
 @pytest.mark.parametrize("method", ["patch", "get", "post", "get_history"])
