@@ -68,11 +68,13 @@ since the empty string sorts before every push id.
 
 The server answers 200 with the result; 404 to a GET of a document never
 written; 413 to a body over MAX_BODY_BYTES; 503 when the store cannot log a
-write, which wrote nothing and is safe to resend; and 400 to a path without
-`.json`, a malformed path or `latest`, a bad `limit`, a body that is not
-UTF-8 JSON or not an object, a document over MAX_DOC_DEPTH levels deep, a
-bad `Content-Length`, a chunked body, or a GET with a body, where the last
-three and the 413, which leave a body unread, also close the connection.
+write, which wrote nothing and is safe to resend; 500 to any other fault,
+which it logs, and where a write may have been applied; and 400 to a path
+without `.json`, a malformed path or `latest`, a bad `limit`, a body that
+is not UTF-8 JSON or not an object, a document over MAX_DOC_DEPTH levels
+deep, a bad `Content-Length`, a chunked body, or a GET with a body, where
+the last three and the 413, which leave a body unread, also close the
+connection.
 """
 
 from __future__ import annotations
@@ -409,6 +411,9 @@ class _Handler:
             self._reply(503, {"error": str(e)})
         except ValueError as e:  # StoreError, or a bad limit
             self._reply(400, {"error": str(e)})
+        except Exception as e:  # a fault of the store, not of the request
+            logger.exception("%s %s failed", self.command, self.path)
+            self._reply(500, {"error": f"internal error: {type(e).__name__}"})
         else:
             self._reply(200, body)
 

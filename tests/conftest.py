@@ -1,13 +1,29 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from smartbag import nn
 from smartbag.dataset import default_profiles, generate
 from smartbag.store import Store, StoreUnavailable
+
+
+def run_python(code: str, unset=()) -> str:
+    """Run code in a fresh interpreter that imports smartbag from src/,
+    without the environment variables named in `unset`; returns what it
+    printed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          timeout=60, stdout=subprocess.PIPE, text=True).stdout
 
 
 class FlakyStore(Store):

@@ -1,15 +1,13 @@
-import os
 import socket
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from smartbag import nn
 from smartbag.cli import main
 from smartbag.store import Store, StoreServer, StoreUnavailable
+
+from conftest import run_python
 
 
 class TestGen:
@@ -168,16 +166,6 @@ def test_bad_values_exit_cleanly(argv, config, code, data_csv, tmp_path,
     assert len(err) == 1 and err[0].startswith("error: ")
     # the bad value is what is reported, not the missing model after it
     assert "cannot load model" not in err[0]
-
-
-def run_python(code: str) -> None:
-    """Run code in a fresh interpreter that imports smartbag from src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=60)
 
 
 def test_requests_not_imported():

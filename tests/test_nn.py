@@ -1,4 +1,5 @@
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from smartbag import nn
 from smartbag.dataset import (
     Dataset, Normalizer, default_profiles, fit_normalizer, generate, split,
 )
+
+from conftest import run_python
 
 
 def make_params(sizes, rng, scale=0.5):
@@ -581,3 +584,58 @@ class TestModelFile:
         blob[50] ^= 0xFF
         with pytest.raises(nn.BadModelChecksum):
             nn.import_model(bytes(blob))
+
+
+# Prints "no setter" when the import found no OpenBLAS to set; defines
+# `blas_threads(verb)`, the loaded OpenBLAS's get_ or set_ entry point.
+BLAS_PRELUDE = textwrap.dedent("""
+    import ctypes, numpy, sys
+    import smartbag.nn as nn
+    if not nn.BLAS_ONE_THREAD:
+        print("no setter")
+        sys.exit()
+
+    def blas_threads(verb):
+        for lib in nn._loaded_openblas():
+            for name in nn._BLAS_SET_THREADS:
+                entry = getattr(lib, name.replace("set_", verb + "_"), None)
+                if entry is not None:
+                    entry.argtypes = [ctypes.c_int] if verb == "set" else []
+                    entry.restype = ctypes.c_int if verb == "get" else None
+                    return entry
+    """)
+
+
+def run_blas(code: str) -> str:
+    """Run BLAS_PRELUDE then code in a fresh interpreter whose environment
+    does not set OpenBLAS's thread count; skip where nothing was set."""
+    out = run_python(BLAS_PRELUDE + textwrap.dedent(code),
+                     unset=("OPENBLAS_NUM_THREADS",))
+    if out.startswith("no setter"):
+        pytest.skip("no loaded OpenBLAS with a known thread setter")
+    return out
+
+
+class TestBlasThreads:
+    def test_import_sets_one_thread(self):
+        assert run_blas("print(blas_threads('get')())") == "1\n"
+
+    def test_build_identical_with_two_threads(self):
+        """The one-thread limit changes no bit of a default build."""
+        run_blas("""
+            from smartbag import dataset
+
+            def build():
+                data = dataset.generate(dataset.default_profiles(), 1743, 0)
+                train_set, test_set = dataset.split(data, 0.9, 0)
+                spec = nn.ModelSpec()
+                model, report = nn.train(train_set, spec, nn.Hyperparams(),
+                                         test_set)
+                return (nn.export_model(model, spec, data.classes),
+                        report.epoch_losses, report.confusion.tolist())
+
+            one = build()
+            blas_threads("set")(2)
+            assert blas_threads("get")() == 2
+            assert build() == one
+            """)

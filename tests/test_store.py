@@ -901,6 +901,30 @@ class TestHttpClientFailures:
         assert len(replayed.get_history("bags/a/history")) == 1
         replayed.close()
 
+    def test_unexpected_fault_answers_500(self, tmp_path, make_client,
+                                          caplog):
+        # a log written before MAX_DOC_DEPTH can hold a document too deep
+        # for `Store.get` to copy; replay keeps it, as an acknowledged write
+        log = tmp_path / "s.wal"
+        log.write_bytes(wal([
+            {"op": "patch", "path": ["bags", "deep", "latest"],
+             "doc": nested(520)},
+            {"op": "patch", "path": ["bags", "ok", "latest"], "doc": {"a": 1}},
+        ]))
+        srv = StoreServer(Store(log_path=str(log))).start()
+        try:
+            client = make_client(srv.base_url)
+            with pytest.raises(StoreUnavailable, match="HTTP 500"):
+                client.get("bags/deep/latest")
+            sock = client.http._conn.sock
+            # the connection stays open and answers the next request
+            assert client.get("bags/ok/latest") == {"a": 1}
+            assert client.http._conn.sock is sock
+        finally:
+            srv.stop()
+        assert any(r.exc_info and r.exc_info[0] is RecursionError
+                   for r in caplog.records)
+
     def test_connection_refused(self, make_client):
         client = make_client(f"http://127.0.0.1:{unused_port()}")
         with pytest.raises(StoreUnavailable):
