@@ -15,6 +15,8 @@ from smartbag.frames import SensorFrame
 from smartbag.gateway import to_record
 from smartbag.store import Store
 
+from test_frames import random_frame
+
 
 def record_from_features(features, device="BAG1", ts=0, sos=0):
     values = dict(zip(FEATURE_NAMES, features))
@@ -32,6 +34,13 @@ class TestRecordFeatures:
         features[-1] = 1.0  # water is binary
         record = record_from_features(features)
         assert np.array_equal(record_features(record), features)
+
+    def test_features_of_a_record_are_the_frame_readings(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            frame = random_frame(rng)
+            expected = [getattr(frame, name) for name in FEATURE_NAMES]
+            assert record_features(to_record(frame, 0)).tolist() == expected
 
     def test_missing_field(self):
         record = record_from_features(np.zeros(13))

@@ -107,11 +107,15 @@ class TestToRecord:
         assert to_record(SensorFrame(sos=1), 0)["sos"] == 1
 
     def test_schema_keys_exact(self):
+        # the order too: WAL bytes and HTTP replies follow it
         record = to_record(SensorFrame(), 0)
-        assert set(record) == {"deviceId", "seq", "ts", "recvTs", "gps", "imu",
-                               "load", "gas", "env", "water", "sos"}
-        assert set(record["gps"]) == {"lat", "lon", "alt", "speed", "heading"}
-        assert set(record["imu"]) == {"ax", "ay", "az", "yaw", "pitch", "roll"}
+        assert list(record) == ["deviceId", "seq", "ts", "recvTs", "gps", "imu",
+                                "load", "gas", "env", "water", "sos"]
+        assert list(record["gps"]) == ["lat", "lon", "alt", "speed", "heading"]
+        assert list(record["imu"]) == ["ax", "ay", "az", "yaw", "pitch", "roll"]
+        assert list(record["load"]) == ["left", "right"]
+        assert list(record["gas"]) == ["mq2", "mq135"]
+        assert list(record["env"]) == ["temp", "hum"]
 
     def test_injective_on_random_frames(self):
         rng = np.random.default_rng(7)
