@@ -34,8 +34,7 @@ print(f"store at {server.base_url}")
 
 # 3. A scripted frame source: normal walking, then an SOS press between
 # two 2 s gateway ticks; the gateway carries it on the record it pushes.
-sim = frames.SimulatorSource(dataset.default_profiles(), seed=4,
-                             interval_ms=1000)
+sim = frames.SimulatorSource(dataset.default_profiles(), seed=4)
 tape = sim.poll(0) + sim.poll(7000)
 tape[5] = replace(tape[5], sos=1)
 trace_path = workdir / "trace.txt"

@@ -36,8 +36,7 @@ except frames.RangeViolation as e:
     print("range check:", e)
 
 # 5. Record a simulated session and replay it twice as fast.
-sim = frames.SimulatorSource(dataset.default_profiles(), seed=1,
-                             interval_ms=1000)
+sim = frames.SimulatorSource(dataset.default_profiles(), seed=1)
 recorded = sim.poll(0) + sim.poll(9000)
 frames.write_trace(recorded, "/tmp/demo_trace.txt")
 replay = frames.TraceSource.from_file("/tmp/demo_trace.txt", start_ms=0,

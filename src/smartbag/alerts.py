@@ -19,9 +19,15 @@ import numpy as np
 
 from . import nn
 from .clock import RealClock
+from .dataset import FEATURE_NAMES
+from .frames import RECORD_PATHS
 from .store import JsonConnection, StoreUnavailable
 
 logger = logging.getLogger(__name__)
+
+# an alarm command the gateway has not acknowledged this long after it was
+# issued raises a warning
+ALARM_TTL_MS = 60000
 
 SEVERITY = {"SOS": "EMERGENCY", "GAS": "WARN", "WATER": "WARN",
             "ACTIVITY": "EMERGENCY", "ALARM_TRIGGERED": "INFO"}
@@ -75,20 +81,13 @@ def request_alarm(store, device: str, now: int) -> tuple:
     return now, True
 
 
-_RECORD_FEATURES = (
-    ("imu", "ax"), ("imu", "ay"), ("imu", "az"),
-    ("imu", "yaw"), ("imu", "pitch"), ("imu", "roll"),
-    ("load", "left"), ("load", "right"),
-    ("gas", "mq2"), ("gas", "mq135"),
-    ("env", "temp"), ("env", "hum"),
-    ("water",),
-)
+_FEATURE_PATHS = tuple(RECORD_PATHS[name] for name in FEATURE_NAMES)
 
 
 def record_features(record: dict) -> np.ndarray:
     """Pull the 13 activity features out of a telemetry document."""
     values = []
-    for keys in _RECORD_FEATURES:
+    for keys in _FEATURE_PATHS:
         node = record
         for key in keys:
             if not isinstance(node, dict) or key not in node:
@@ -161,36 +160,33 @@ class NotificationLog:
 
 
 class WebhookSink:
-    """POSTs each event; at most max_tries attempts, failure is non-fatal."""
+    """POSTs each event; at most MAX_TRIES attempts, failure is non-fatal."""
 
-    def __init__(self, url: str, max_tries: int = 3, timeout: float = 5.0):
-        self.url = url
-        self.max_tries = max_tries
-        self.http = JsonConnection(url, timeout)
+    MAX_TRIES = 3
+
+    def __init__(self, url: str):
+        self.http = JsonConnection(url)
 
     def deliver(self, event: AlertEvent) -> None:
-        for _ in range(self.max_tries):
+        for _ in range(self.MAX_TRIES):
             try:
                 status, _ = self.http.request("POST", doc=event.to_json())
             except StoreUnavailable:  # the hook is unreachable
                 continue
             if status < 400:
                 return
-        logger.warning("webhook delivery failed after %d tries", self.max_tries)
+        logger.warning("webhook delivery failed after %d tries", self.MAX_TRIES)
 
 
 @dataclass
 class AlertServiceConfig:
     device_id: str = "BAG1"
     poll_interval_ms: int = 1000
-    alarm_ttl_ms: int = 60000
     rules: AlertRuleSet = field(default_factory=AlertRuleSet)
 
     def __post_init__(self):
         if self.poll_interval_ms <= 0:
             raise ValueError("poll_interval_ms must be > 0")
-        if self.alarm_ttl_ms < 0:
-            raise ValueError("alarm_ttl_ms must be >= 0")
 
 
 class AlertService:
@@ -298,7 +294,7 @@ class AlertService:
         if doc is not None and doc.get("alarm") == 0:
             self.outstanding_alarm = None
             return
-        if now - self.outstanding_alarm >= self.config.alarm_ttl_ms:
+        if now - self.outstanding_alarm >= ALARM_TTL_MS:
             self._emit(AlertEvent(
                 "ALARM_TRIGGERED", "WARN", device, now,
                 "alarm command not acknowledged before TTL"))

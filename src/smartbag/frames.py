@@ -7,6 +7,10 @@ One ASCII line per reading, NMEA-style framing:
 
 CK is the XOR of the payload bytes between '$' and '*' as two uppercase
 hex digits. Reals are printed with at most 6 significant digits.
+
+`RECORD_PATHS` is the one definition of the telemetry schema: the wire
+order of the readings, their place in the JSON record (`to_record`), and,
+with `dataset.FEATURE_NAMES`, where the model's 13 features are read back.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassProfile
+from .dataset import FEATURE_NAMES, ClassProfile
 
 FRAME_TAG = "BAG"
-PAYLOAD_FIELDS = 23  # tag + 22 data fields
 
 _DEVICE_RE = re.compile(r"^[A-Za-z0-9]{1,16}$")
 
@@ -100,12 +103,27 @@ class SensorFrame:
             raise RangeViolation("sos")
 
 
-_FLOAT_FIELDS = ("lat", "lon", "alt", "speed", "heading",
-                 "ax", "ay", "az", "yaw", "pitch", "roll",
-                 "load_left", "load_right", "mq2", "mq135",
-                 "temp", "humidity")
+# Each reading of a SensorFrame, in wire order, with its path in the JSON
+# telemetry record.
+RECORD_PATHS = {
+    "lat": ("gps", "lat"), "lon": ("gps", "lon"), "alt": ("gps", "alt"),
+    "speed": ("gps", "speed"), "heading": ("gps", "heading"),
+    "ax": ("imu", "ax"), "ay": ("imu", "ay"), "az": ("imu", "az"),
+    "yaw": ("imu", "yaw"), "pitch": ("imu", "pitch"), "roll": ("imu", "roll"),
+    "load_left": ("load", "left"), "load_right": ("load", "right"),
+    "mq2": ("gas", "mq2"), "mq135": ("gas", "mq135"),
+    "temp": ("env", "temp"), "humidity": ("env", "hum"),
+    "water": ("water",),
+    "sos": ("sos",),
+}
 
-_FIELD_ORDER = ("device_id", "seq", "ts") + _FLOAT_FIELDS + ("water", "sos")
+_INT_FIELDS = ("seq", "ts", "water", "sos")
+
+_FLOAT_FIELDS = tuple(name for name in RECORD_PATHS if name not in _INT_FIELDS)
+
+_FIELD_ORDER = ("device_id", "seq", "ts") + tuple(RECORD_PATHS)
+
+PAYLOAD_FIELDS = 1 + len(_FIELD_ORDER)  # the tag, then the fields
 
 
 def checksum(payload: bytes) -> str:
@@ -127,6 +145,18 @@ def encode_frame(frame: SensorFrame) -> bytes:
     parts += [str(frame.water), str(frame.sos)]
     payload = ",".join(parts).encode("ascii")
     return b"$" + payload + b"*" + checksum(payload).encode("ascii") + b"\n"
+
+
+def to_record(frame: SensorFrame, recv_ts: int) -> dict:
+    """Lossless JSON document form of a frame, laid out by RECORD_PATHS."""
+    record = {"deviceId": frame.device_id, "seq": frame.seq, "ts": frame.ts,
+              "recvTs": int(recv_ts)}
+    for name, path in RECORD_PATHS.items():
+        node = record
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = getattr(frame, name)
+    return record
 
 
 def parse_frame(line: bytes) -> SensorFrame:
@@ -161,7 +191,7 @@ def parse_frame(line: bytes) -> SensorFrame:
             values[name] = text
             continue
         try:
-            if name in ("seq", "ts", "water", "sos"):
+            if name in _INT_FIELDS:
                 values[name] = int(text)
             else:
                 v = float(text)
@@ -226,6 +256,11 @@ class TraceSource:
         return out
 
 
+SIM_INTERVAL_MS = 1000  # one simulated reading per second
+SIM_HOLD = 8  # readings per activity before the simulator draws another
+SIM_BASE_LAT, SIM_BASE_LON = 12.9716, 77.5946
+
+
 class SimulatorSource:
     """Generates live frames from class signal profiles.
 
@@ -233,16 +268,10 @@ class SimulatorSource:
     SOS and water flags fire with the profile's event probabilities.
     """
 
-    def __init__(self, profiles, device_id: str = "BAG1", interval_ms: int = 1000,
-                 seed: int = 0, base_lat: float = 12.9716, base_lon: float = 77.5946,
-                 hold: int = 8):
+    def __init__(self, profiles, device_id: str = "BAG1", seed: int = 0):
         self.profiles = tuple(profiles)
         self.device_id = device_id
-        self.interval_ms = interval_ms
         self.rng = np.random.default_rng(seed)
-        self.base_lat = base_lat
-        self.base_lon = base_lon
-        self.hold = hold
         self.seq = 0
         self._next_due = None
         self._current = int(self.rng.integers(0, len(self.profiles)))
@@ -255,28 +284,24 @@ class SimulatorSource:
 
     def _make_frame(self, now_ms: int) -> SensorFrame:
         prof: ClassProfile = self.profiles[self._current]
-        row = self.rng.normal(prof.mean, prof.std)
-        water = int(self.rng.random() < prof.water_prob)
-        sos = int(self.rng.random() < prof.sos_prob)
-        frame = SensorFrame(
-            device_id=self.device_id,
-            seq=self.seq,
-            ts=now_ms,
-            lat=self.base_lat + float(self.rng.normal(0, 1e-4)),
-            lon=self.base_lon + float(self.rng.normal(0, 1e-4)),
+        readings = dict(zip(FEATURE_NAMES, self.rng.normal(prof.mean, prof.std)))
+        # the keyword arguments draw in this order, after the profile row
+        readings.update(
+            water=int(self.rng.random() < prof.water_prob),
+            sos=int(self.rng.random() < prof.sos_prob),
+            lat=SIM_BASE_LAT + float(self.rng.normal(0, 1e-4)),
+            lon=SIM_BASE_LON + float(self.rng.normal(0, 1e-4)),
             alt=900.0 + float(self.rng.normal(0, 2.0)),
             speed=abs(float(self.rng.normal(1.0, 0.5))),
             heading=float(self.rng.uniform(0, 360)),
-            ax=row[0], ay=row[1], az=row[2],
-            yaw=row[3], pitch=row[4], roll=row[5],
-            load_left=row[6], load_right=row[7],
-            mq2=abs(row[8]), mq135=abs(row[9]),
-            temp=row[10], humidity=float(np.clip(row[11], 0.0, 100.0)),
-            water=water, sos=sos,
+            mq2=abs(readings["mq2"]), mq135=abs(readings["mq135"]),
+            humidity=float(np.clip(readings["humidity"], 0.0, 100.0)),
         )
+        frame = SensorFrame(device_id=self.device_id, seq=self.seq, ts=now_ms,
+                            **readings)
         self.seq = (self.seq + 1) % 2 ** 32
         self._held += 1
-        if self._held >= self.hold:
+        if self._held >= SIM_HOLD:
             self._held = 0
             self._current = int(self.rng.integers(0, len(self.profiles)))
         return frame
@@ -287,7 +312,7 @@ class SimulatorSource:
         out = []
         while self._next_due <= now_ms:
             out.append(self._make_frame(self._next_due))
-            self._next_due += self.interval_ms
+            self._next_due += SIM_INTERVAL_MS
         return out
 
 

@@ -19,30 +19,11 @@ from dataclasses import dataclass
 
 from .alerts import SEVERITY, AlertEvent
 from .clock import RealClock
-from .frames import SensorFrame
+from .frames import to_record
 # perfbench/pipeline.py imports HttpStoreClient from this module
 from .store import HttpStoreClient, StoreUnavailable  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-
-def to_record(frame: SensorFrame, recv_ts: int) -> dict:
-    """Lossless JSON document form of a frame; keys are the wire schema."""
-    return {
-        "deviceId": frame.device_id,
-        "seq": frame.seq,
-        "ts": frame.ts,
-        "recvTs": int(recv_ts),
-        "gps": {"lat": frame.lat, "lon": frame.lon, "alt": frame.alt,
-                "speed": frame.speed, "heading": frame.heading},
-        "imu": {"ax": frame.ax, "ay": frame.ay, "az": frame.az,
-                "yaw": frame.yaw, "pitch": frame.pitch, "roll": frame.roll},
-        "load": {"left": frame.load_left, "right": frame.load_right},
-        "gas": {"mq2": frame.mq2, "mq135": frame.mq135},
-        "env": {"temp": frame.temp, "hum": frame.humidity},
-        "water": frame.water,
-        "sos": frame.sos,
-    }
 
 
 @dataclass

@@ -314,12 +314,8 @@ def _one_hot(labels, k: int):
     return y
 
 
-def _batch_xy(params: ModelParams, batch):
-    """Accept a Dataset or an (X, Y-one-hot) pair; X is pre-normalized."""
-    if isinstance(batch, Dataset):
-        x = batch.features
-        y = _one_hot(batch.labels, params.weights[-1].shape[0])
-        return x, y
+def _batch_xy(batch):
+    """An (X, Y-one-hot) pair as float arrays; X is pre-normalized."""
     x, y = batch
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
@@ -327,7 +323,7 @@ def _batch_xy(params: ModelParams, batch):
 def loss(params: ModelParams, batch, lam: float = 0.0) -> float:
     """Per-unit binary cross-entropy against the softmax outputs, plus an
     L2 penalty on weights (biases excluded)."""
-    x, y = _batch_xy(params, batch)
+    x, y = _batch_xy(batch)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     if not np.all((y == 0) | (y == 1)) or not np.allclose(y.sum(axis=1), 1.0):
@@ -372,7 +368,7 @@ def backward(params: ModelParams, batch, lam: float = 0.0):
 
     Returns (weight_grads, bias_grads) shaped like the parameters.
     """
-    x, y = _batch_xy(params, batch)
+    x, y = _batch_xy(batch)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     grad_w = [np.empty_like(w) for w in params.weights]

@@ -5,7 +5,7 @@ import pytest
 
 from smartbag import nn
 from smartbag.alerts import (
-    AlertEvent, AlertRuleSet, AlertService, AlertServiceConfig,
+    ALARM_TTL_MS, AlertEvent, AlertRuleSet, AlertService, AlertServiceConfig,
     NotificationLog, RecordSchemaError, WebhookSink, classify_record,
     eval_rules, record_features,
 )
@@ -161,21 +161,20 @@ class TestEvalRules:
 
 
 @pytest.mark.parametrize("config_kw", [
-    {"poll_interval_ms": 0}, {"poll_interval_ms": -1}, {"alarm_ttl_ms": -1}])
+    {"poll_interval_ms": 0}, {"poll_interval_ms": -1}])
 def test_service_config_rejects_bad_values(config_kw):
     # a poll interval <= 0 would busy-poll or crash the clock's sleep
     with pytest.raises(ValueError):
         AlertServiceConfig(**config_kw)
-    assert AlertServiceConfig(alarm_ttl_ms=0).alarm_ttl_ms == 0
 
 
-def make_service(model_file, tmp_path, store=None, **config_kw):
+def make_service(model_file, tmp_path, store=None):
     store = store or Store()
     log = NotificationLog(str(tmp_path / "notifications.jsonl"))
     clock = VirtualClock(0)
     service = AlertService(
         store, model_file,
-        AlertServiceConfig(device_id="BAG1", **config_kw),
+        AlertServiceConfig(device_id="BAG1"),
         cursor_path=str(tmp_path / "cursor.json"),
         sinks=[log], clock=clock)
     return service, store, log, clock
@@ -285,10 +284,12 @@ class TestAlarm:
         assert first == second
 
     def test_ttl_warn(self, model_file, tmp_path):
-        service, store, log, clock = make_service(model_file, tmp_path,
-                                                  alarm_ttl_ms=1000)
+        service, store, log, clock = make_service(model_file, tmp_path)
         service.trigger_alarm()
-        clock.advance(2000)
+        clock.advance(ALARM_TTL_MS - 1)
+        service.poll_once()
+        assert log.read() == []
+        clock.advance(1)
         service.poll_once()
         events = log.read()
         assert [e["kind"] for e in events] == ["ALARM_TRIGGERED"]
@@ -300,7 +301,7 @@ class TestWebhook:
     # counting_server hangs up on every request until its status is set
 
     def test_retries_then_gives_up(self, counting_server):
-        sink = WebhookSink(counting_server.url + "/hook", max_tries=3)
+        sink = WebhookSink(counting_server.url + "/hook")
         sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
         sink.http.close()
         assert len(counting_server.requests) == 3
