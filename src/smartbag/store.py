@@ -9,15 +9,17 @@ recovery holds one record in memory beyond the state it rebuilds, and a
 garbage length prefix longer than the rest of the file ends the valid
 prefix instead of being read.
 
-Every JSON document the store path decodes (request bodies, log records,
-and the client's replies and history pages) maps its keys through one
-process-wide table, so the records of one schema share their key strings
-instead of each decode allocating its own. For the gateway's telemetry
-record, with about 30 keys, a history entry in a `Store` holds about 2.2 KB,
-against 3.7 KB with a fresh set of keys per record. The price is CPU: the
-decode hook adds about 5 us per telemetry record, about a third of a
-replay's time per record. The table is bounded in entry count and key
-length, so keys a client invents cannot grow it without limit.
+A `Store` keeps each history entry as its push id, its server timestamp
+and the JSON text of its document, exactly as the log record holds it, so
+that writes and replay keep the same text. For the gateway's telemetry
+record, with about 30 keys, an entry holds about 0.76 KB, against 2.2 KB as
+a tree of dicts and floats. Only the documents the store keeps decoded
+(`patch` documents and the `latest` merges), the history pages it returns
+and the client's replies map their keys through one process-wide table, so
+that documents of one schema share their key strings instead of each
+allocating its own; log records and request bodies are decoded without it.
+The table is bounded in entry count and key length, so keys a client
+invents cannot grow it without limit.
 
 Services talk to a store through four client methods, which `Store` and
 `HttpStoreClient` both implement with the same signatures: `patch(path,
@@ -36,10 +38,12 @@ does, so a tuple is kept as a list and an int key as a string. A refused
 write is undone: a document JSON cannot hold, or one that nests objects and
 arrays deeper than MAX_DOC_DEPTH (64) levels, raises BadDocument, and a
 failed log append is cut from the log and raises StoreUnavailable. A closed
-store with a log refuses every write with StoreUnavailable. `patch` and
-`get` return copies; `get_history` entries are shared, read-only. Inside
-the store, a history entry and the document it was merged into share their
-subtrees: `merge_docs` builds new objects and never mutates its inputs.
+store with a log refuses every write with StoreUnavailable. `patch`, `get`
+and `get_history` return copies: `get_history` decodes the page it returns
+on every call, so changing an entry's `doc` changes nothing in the store.
+Replay skips a record whose document nests deeper than MAX_DOC_DEPTH, which
+only a log written before that bound can hold, with a warning that gives
+its offset; the records after it replay as usual.
 
 Transport: `HttpStoreClient` (and the alert webhook) sends each request
 through a `JsonConnection`, one kept-alive HTTP/1.1 connection per client
@@ -137,9 +141,26 @@ def _share_keys(pairs) -> dict:
     return doc
 
 
-# `json.loads` for every document the store path keeps: the keys of the
-# documents it returns are the shared table's strings
+# `json.loads` for the documents the store hands out: the keys of the
+# history pages it returns and of the client's replies are the shared
+# table's strings
 _loads = json.JSONDecoder(object_pairs_hook=_share_keys).decode
+
+# a log record's "doc" key, up to its value; the keys logged before it hold
+# only an op name and path segments, so the first match is the key
+_DOC_KEY = re.compile(r'"doc"[ \t\n\r]*:[ \t\n\r]*')
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_record(payload: str) -> tuple:
+    """A log record's JSON text as (record, doc text): the record decoded
+    without the key table, and the text of its "doc" value exactly as it
+    was logged."""
+    start = _DOC_KEY.search(payload).end()
+    doc, end = _raw_decode(payload, start)
+    record, _ = _raw_decode(payload[:start] + "0" + payload[end:])
+    record["doc"] = doc
+    return record, payload[start:end]
 
 
 class StoreError(ValueError):
@@ -166,14 +187,17 @@ def parse_path(path: str) -> tuple:
     return segments
 
 
-def _check_depth(doc: dict) -> None:
-    """Raise BadDocument when `doc` nests objects and arrays deeper than
-    MAX_DOC_DEPTH; depth first, so a cycle fails within that many steps."""
+def _check_depth(doc: dict, text: str) -> None:
+    """Raise BadDocument when `doc`, whose JSON is `text`, nests objects and
+    arrays deeper than MAX_DOC_DEPTH. The walk is skipped when the text
+    opens too few objects and arrays to nest that deep."""
+    if text.count("{") + text.count("[") <= MAX_DOC_DEPTH:
+        return
     stack = [(doc, 1)]
     while stack:
         node, depth = stack.pop()
         for child in node.values() if isinstance(node, dict) else node:
-            if isinstance(child, (dict, list, tuple)):
+            if isinstance(child, (dict, list)):
                 if depth == MAX_DOC_DEPTH:
                     raise BadDocument(f"document over {MAX_DOC_DEPTH} levels deep")
                 stack.append((child, depth + 1))
@@ -182,14 +206,18 @@ def _check_depth(doc: dict) -> None:
 def merge_docs(base, patch):
     """Shallow merge per top-level key, recursing into nested objects.
 
-    Builds new dicts along the merged paths and mutates neither input, so
-    the result may share the values it takes from `base` and `patch`."""
+    Builds new dicts along the merged paths and mutates neither input. The
+    result shares no dict with `patch`, may share values with `base`, and
+    takes the keys it adds from the shared table."""
     out = dict(base)
     for key, value in patch.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_docs(out[key], value)
-        else:
-            out[key] = value
+        if isinstance(value, dict):
+            old = out.get(key)
+            value = merge_docs(old if isinstance(old, dict) else {}, value)
+        out[key] = value
+    if len(out) > len(base):  # keys were added
+        table = _shared_keys
+        out = {table[key]: value for key, value in out.items()}
     return out
 
 
@@ -198,6 +226,20 @@ class HistoryEntry:
     push_id: str
     doc: dict
     server_ts: int
+
+
+@dataclass(frozen=True, slots=True)
+class StoredEntry:
+    """A history entry as a `Store` keeps it: `text` is the JSON of its
+    document exactly as the log record holds it."""
+    push_id: str
+    text: str
+    server_ts: int
+
+    @property
+    def doc(self) -> dict:
+        """A new copy of the document, decoded from `text`."""
+        return _loads(self.text)
 
 
 _push_id = attrgetter("push_id")
@@ -235,16 +277,19 @@ class Store:
     # -- log --------------------------------------------------------------
 
     def _commit(self, record: dict) -> None:
-        """Log `record` with one write, then apply the object that replay
-        decodes from the same bytes. Runs under the lock. A record that is
-        not JSON or nests too deep, or whose write fails, changes nothing:
-        a failed write is cut from the log, and if that fails too, every
-        later write is refused until a restart."""
-        _check_depth(record["doc"])
+        """Log `record` with one write, then apply what replay parses from
+        the same bytes. Runs under the lock. A record that is not JSON or
+        nests too deep, or whose write fails, changes nothing: a failed
+        write is cut from the log, and if that fails too, every later write
+        is refused until a restart."""
         try:
             payload = json.dumps(record, separators=(",", ":"))
-        except TypeError as e:  # a set, a tuple key; a cycle nests too deep
+            record, text = _parse_record(payload)
+        except RecursionError:  # nested past the encoder's limit
+            raise BadDocument(f"document over {MAX_DOC_DEPTH} levels deep") from None
+        except (TypeError, ValueError) as e:  # a set, a tuple key, a cycle
             raise BadDocument(f"document is not JSON: {e}") from None
+        _check_depth(record["doc"], text)
         if self._log is not None:
             if self._log_end is None:
                 raise StoreUnavailable("store log unusable until restart")
@@ -262,11 +307,14 @@ class Store:
                     self._log_end = None
                 raise StoreUnavailable(f"store log write failed: {e}") from None
             self._log_end += len(data)
-        self._apply(_loads(payload))
+        self._apply(record, text)
 
     def _replay(self, fh) -> tuple:
         """Apply the longest valid prefix of the log open in `fh`, one
-        record at a time; returns (prefix length, file length)."""
+        record at a time; returns (prefix length, file length). A record
+        whose document nests deeper than MAX_DOC_DEPTH, which only a log
+        written before that bound can hold, is skipped: the records after
+        it were acknowledged too."""
         size = os.fstat(fh.fileno()).st_size
         pos = 0
         while pos + 4 <= size:
@@ -279,17 +327,25 @@ class Store:
             if zlib.crc32(payload) != crc:
                 logger.warning("store log corrupt at offset %d; stopping replay", pos)
                 break
-            self._apply(_loads(str(payload, "utf-8")))
+            try:
+                record, text = _parse_record(str(payload, "utf-8"))
+                _check_depth(record["doc"], text)
+            except (BadDocument, RecursionError):
+                logger.warning("store log: skipping the record at offset %d, "
+                               "over %d levels deep", pos, MAX_DOC_DEPTH)
+            else:
+                self._apply(record, text)
             pos += 4 + length + 4
         return pos, size
 
-    def _apply(self, record: dict) -> None:
-        """The effects of one log record; writes and replay both run it."""
+    def _apply(self, record: dict, text: str) -> None:
+        """The effects of one log record, as `_parse_record` returns it;
+        writes and replay both run it."""
         path = tuple(record["path"])
         if record["op"] == "patch":
             self.docs[path] = merge_docs(self.docs.get(path, {}), record["doc"])
         elif record["op"] == "append":
-            entry = HistoryEntry(record["id"], record["doc"], record["ts"])
+            entry = StoredEntry(record["id"], text, record["ts"])
             self.history.setdefault(path, []).append(entry)
             self._last_id = max(self._last_id, int(record["id"]))
             if "latest" in record:  # absent from logs written before it
@@ -345,7 +401,8 @@ class Store:
         """Entries after `since` (exclusive), oldest first, capped at limit.
 
         Push ids within a history only grow, so the first entry after
-        `since` is found by bisection and only the returned slice is copied.
+        `since` is found by bisection and only the returned page is decoded,
+        into new documents on every call.
         """
         segments = parse_path(path)
         if limit is not None and limit < 0:
@@ -355,7 +412,8 @@ class Store:
             start = 0 if since is None else bisect.bisect_right(
                 entries, since, key=_push_id)
             end = len(entries) if limit is None else start + limit
-            return entries[start:end]
+            page = entries[start:end]
+        return [HistoryEntry(e.push_id, e.doc, e.server_ts) for e in page]
 
     # no product caller: perfbench/pipeline.py probes it by name, so it goes
     # with that workload's next change (ROADMAP.md, item 1)
@@ -442,7 +500,7 @@ class _Handler:
             raise _Refused(413, f"body over {MAX_BODY_BYTES} bytes",
                            close=True)
         try:
-            return _loads(self.rfile.read(length).decode("utf-8"))
+            return json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, RecursionError):  # bad UTF-8, or nested too deep
             raise _Refused(400, "body is not valid JSON") from None
 
@@ -604,6 +662,10 @@ class _HttpServer:
                     pass
 
 
+# how often, in seconds, a serving loop checks whether `stop` was called
+POLL_INTERVAL_S = 0.05
+
+
 class StoreServer:
     """Threaded HTTP front end over a Store."""
 
@@ -623,12 +685,12 @@ class StoreServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "StoreServer":
-        self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(POLL_INTERVAL_S)
 
     def stop(self) -> None:
         self.httpd.shutdown()

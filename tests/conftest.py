@@ -11,7 +11,7 @@ import pytest
 
 from smartbag import nn
 from smartbag.dataset import default_profiles, generate
-from smartbag.store import Store, StoreUnavailable
+from smartbag.store import POLL_INTERVAL_S, Store, StoreUnavailable
 
 
 def run_python(code: str, unset=()) -> str:
@@ -108,7 +108,7 @@ class CountingServer:
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = "http://127.0.0.1:%d" % self.httpd.server_address[1]
         self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        daemon=True)
+                                        args=(POLL_INTERVAL_S,), daemon=True)
         self._thread.start()
 
     def close(self):
