@@ -160,9 +160,12 @@ class NotificationLog:
 
 
 class WebhookSink:
-    """POSTs each event; at most MAX_TRIES attempts, failure is non-fatal."""
+    """POSTs each event; a failure is logged, not raised. A POST is tried
+    again, up to MAX_TRIES in all, only when the hook is unreachable or
+    answers a status in RETRY_STATUSES or 5xx; any other 4xx is final."""
 
     MAX_TRIES = 3
+    RETRY_STATUSES = (408, 429)  # a request timeout, a rate limit
 
     def __init__(self, url: str):
         self.http = JsonConnection(url)
@@ -174,6 +177,9 @@ class WebhookSink:
             except StoreUnavailable:  # the hook is unreachable
                 continue
             if status < 400:
+                return
+            if status < 500 and status not in self.RETRY_STATUSES:
+                logger.warning("webhook refused the event: HTTP %d", status)
                 return
         logger.warning("webhook delivery failed after %d tries", self.MAX_TRIES)
 

@@ -13,13 +13,7 @@ A `Store` keeps each history entry as its push id, its server timestamp
 and the JSON text of its document, exactly as the log record holds it, so
 that writes and replay keep the same text. For the gateway's telemetry
 record, with about 30 keys, an entry holds about 0.76 KB, against 2.2 KB as
-a tree of dicts and floats. Only the documents the store keeps decoded
-(`patch` documents and the `latest` merges), the history pages it returns
-and the client's replies map their keys through one process-wide table, so
-that documents of one schema share their key strings instead of each
-allocating its own; log records and request bodies are decoded without it.
-The table is bounded in entry count and key length, so keys a client
-invents cannot grow it without limit.
+a tree of dicts and floats.
 
 Services talk to a store through four client methods, which `Store` and
 `HttpStoreClient` both implement with the same signatures: `patch(path,
@@ -112,40 +106,6 @@ MAX_BODY_BYTES = 1 << 20
 # once per level, and a gateway record is 2 levels deep.
 MAX_DOC_DEPTH = 64
 
-# bounds on the shared key table: keys past either are decoded as they are,
-# unshared, so keys a client invents cannot grow the table without limit. A
-# plain table, not sys.intern: interned strings are immortal from CPython
-# 3.12 on, so interning could not be bounded.
-_MAX_SHARED_KEYS = 4096
-_MAX_SHARED_KEY_LEN = 64
-
-
-class _KeyTable(dict):
-    """Maps each key to its shared string, within the bounds above."""
-
-    def __missing__(self, key):
-        if len(key) > _MAX_SHARED_KEY_LEN or len(self) >= _MAX_SHARED_KEYS:
-            return key
-        return self.setdefault(key, key)
-
-
-_shared_keys = _KeyTable()
-
-
-def _share_keys(pairs) -> dict:
-    """`object_pairs_hook` that maps each key through the shared table."""
-    table = _shared_keys
-    doc = {}
-    for key, value in pairs:
-        doc[table[key]] = value
-    return doc
-
-
-# `json.loads` for the documents the store hands out: the keys of the
-# history pages it returns and of the client's replies are the shared
-# table's strings
-_loads = json.JSONDecoder(object_pairs_hook=_share_keys).decode
-
 # a log record's "doc" key, up to its value; the keys logged before it hold
 # only an op name and path segments, so the first match is the key
 _DOC_KEY = re.compile(r'"doc"[ \t\n\r]*:[ \t\n\r]*')
@@ -153,9 +113,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_record(payload: str) -> tuple:
-    """A log record's JSON text as (record, doc text): the record decoded
-    without the key table, and the text of its "doc" value exactly as it
-    was logged."""
+    """A log record's JSON text as (record, doc text): the record decoded,
+    and the text of its "doc" value exactly as it was logged."""
     start = _DOC_KEY.search(payload).end()
     doc, end = _raw_decode(payload, start)
     record, _ = _raw_decode(payload[:start] + "0" + payload[end:])
@@ -207,17 +166,13 @@ def merge_docs(base, patch):
     """Shallow merge per top-level key, recursing into nested objects.
 
     Builds new dicts along the merged paths and mutates neither input. The
-    result shares no dict with `patch`, may share values with `base`, and
-    takes the keys it adds from the shared table."""
+    result shares no dict with `patch` and may share values with `base`."""
     out = dict(base)
     for key, value in patch.items():
         if isinstance(value, dict):
             old = out.get(key)
             value = merge_docs(old if isinstance(old, dict) else {}, value)
         out[key] = value
-    if len(out) > len(base):  # keys were added
-        table = _shared_keys
-        out = {table[key]: value for key, value in out.items()}
     return out
 
 
@@ -239,7 +194,7 @@ class StoredEntry:
     @property
     def doc(self) -> dict:
         """A new copy of the document, decoded from `text`."""
-        return _loads(self.text)
+        return json.loads(self.text)
 
 
 _push_id = attrgetter("push_id")
@@ -606,7 +561,7 @@ class HttpStoreClient:
         if status >= 400:
             raise ValueError(f"{method} {path}: "
                              f"{body.decode('utf-8', 'replace')}")
-        return _loads(body.decode("utf-8"))
+        return json.loads(body.decode("utf-8"))
 
     def patch(self, path: str, doc: dict) -> dict:
         return self._request("PATCH", path, doc)

@@ -306,6 +306,20 @@ class TestWebhook:
         sink.http.close()
         assert len(counting_server.requests) == 3
 
+    @pytest.mark.parametrize("status, tries", [
+        (400, 1), (404, 1), (408, 3), (429, 3), (500, 3), (503, 3)])
+    def test_retries_only_what_can_succeed(self, counting_server, caplog,
+                                           status, tries):
+        counting_server.status = status
+        sink = WebhookSink(counting_server.url + "/hook")
+        with caplog.at_level("WARNING", logger="smartbag.alerts"):
+            sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
+        sink.http.close()
+        assert len(counting_server.requests) == tries
+        [warning] = caplog.records
+        if tries == 1:
+            assert f"HTTP {status}" in warning.getMessage()
+
     def test_delivers_once_to_the_hook_url(self, counting_server):
         counting_server.status = 204
         sink = WebhookSink(counting_server.url + "/hooks/a b?key=x%2Fy")

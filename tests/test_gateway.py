@@ -89,6 +89,21 @@ class PostFails(FlakyStore):
         return super().post(path, doc, latest)
 
 
+class ReplyLost(FlakyStore):
+    """Applies each POST. Once `lose_reply` is set, the next POST is
+    applied and then raises StoreUnavailable, as a read timeout or a reset
+    after the server wrote would."""
+
+    lose_reply = False
+
+    def post(self, path, doc, latest=None):
+        reply = super().post(path, doc, latest)
+        if self.lose_reply:
+            self.lose_reply = False
+            raise StoreUnavailable("reply lost")
+        return reply
+
+
 class TestToRecord:
     def test_zero_frame(self):
         record = to_record(SensorFrame(), recv_ts=5)
@@ -226,6 +241,21 @@ class TestPushLoop:
         assert history_seqs(store) == [0, 1, 2]
         assert store.get("bags/BAG1/latest")["seq"] == 2
         assert gw.dropped == 0 and not gw.buffer
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: the gateway posts a record again after a lost "
+        "reply, and the store appends it twice"))
+    def test_lost_reply_does_not_duplicate_the_entry(self):
+        store = ReplyLost()
+        gw, clock = make_gateway(store, trace_lines(7))
+        gw.tick()
+        store.lose_reply = True
+        for _ in range(3):
+            clock.advance(2000)
+            gw.tick()
+        # today the seqs read [0, 2, 2, 4, 6]
+        seqs = history_seqs(store)
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
 
     @pytest.mark.parametrize("flag", ["sos", "water"])
     def test_event_on_an_earlier_frame_of_the_window_is_pushed(
