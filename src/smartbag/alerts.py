@@ -214,7 +214,14 @@ class AlertService:
     @staticmethod
     def _load_model(model_path):
         with open(model_path, "rb") as fh:
-            return nn.import_model(fh.read())
+            params, spec, vocabulary = nn.import_model(fh.read())
+        # a model that cannot take a record's features would fail on the
+        # first record at every poll, and the cursor would never pass it
+        if spec.input_width != len(_FEATURE_PATHS):
+            raise nn.ShapeMismatch(
+                f"model input width {spec.input_width} != "
+                f"{len(_FEATURE_PATHS)} record features")
+        return params, spec, vocabulary
 
     def _load_cursor(self):
         if self.cursor_path is None:

@@ -8,14 +8,14 @@ loop, and a compact binary model file ("BAGM1") for deployment.
 layer order, then all biases in layer order, each weight matrix row-major.
 The weights and biases of the model it builds are views into that array,
 and the gradients live in a second flat array laid out the same way, so
-`backward` writes into them and Adam updates the whole array in place. The
-public `backward` and `adam_step` run the same kernels on arrays of their
-own. Passes that take no gradient (the epoch loss, `evaluate`, `predict`)
-keep one layer's activations at a time, not all of them, and share
-`forward`'s per-layer step; `train`'s loss pass writes them into two
-buffers it allocates once. A speed-up of this module must keep every
-floating-point operation and its order, so that exported models stay
-byte-identical for the same seed.
+`_backward_into` writes into them and `_adam_update` updates the whole array
+in place. Adam's decay rates and denominator guard are the fixed constants
+`ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPSILON`. Passes that take no gradient
+(the epoch loss, `evaluate`, `predict`) keep one layer's activations at a
+time, not all of them, and share `forward`'s per-layer step; `train`'s loss
+pass writes them into two buffers it allocates once. A speed-up of this
+module must keep every floating-point operation and its order, so that
+exported models stay byte-identical for the same seed.
 
 At import the module sets the OpenBLAS that numpy has loaded to one thread,
 whatever the environment says: the default network's widest layer is 60
@@ -42,6 +42,12 @@ DEFAULT_LAYER_SIZES = (13, 15, 20, 25, 30, 60, 5)
 
 # Saturated softmax outputs would send log() to -inf; clamp instead.
 LOG_CLAMP = 1e-12
+
+# Adam's decay rates for the first and second moments, and the guard added
+# to the second moment's root (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 MODEL_MAGIC = b"BAGM"
 MODEL_VERSION = 1
@@ -137,9 +143,6 @@ class ModelSpec:
 @dataclass(frozen=True)
 class Hyperparams:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 128
     epochs: int = 10
     lam: float = 0.0
@@ -148,10 +151,6 @@ class Hyperparams:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1, beta2 must be in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
         if self.lam < 0:
@@ -173,27 +172,19 @@ class ModelParams:
     def layer_sizes(self) -> tuple:
         return tuple([self.weights[0].shape[1]] + [w.shape[0] for w in self.weights])
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            Normalizer(self.normalizer.mean.copy(), self.normalizer.std.copy()),
-        )
-
 
 @dataclass
 class AdamState:
-    """Step count and moment estimates, all weights then all biases laid
-    end to end in one flat array each."""
+    """Step count and moment estimates, each shaped like the parameter
+    array they update."""
 
     t: int
     m: np.ndarray
     v: np.ndarray
 
     @classmethod
-    def zeros_like(cls, params: ModelParams) -> "AdamState":
-        size = sum(a.size for a in params.weights + params.biases)
-        return cls(0, np.zeros(size), np.zeros(size))
+    def zeros_like(cls, p: np.ndarray) -> "AdamState":
+        return cls(0, np.zeros_like(p), np.zeros_like(p))
 
 
 @dataclass
@@ -209,16 +200,9 @@ def _relu_inplace(z):
     return np.maximum(z, 0.0, out=z)
 
 
-def relu(z):
-    """Elementwise max(z, 0)."""
-    z = np.array(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("relu input must be finite")
-    return _relu_inplace(z)
-
-
 def _softmax_inplace(z):
-    """Softmax over the last axis, computed in place in the float array z."""
+    """Softmax over the last axis, computed in place in the float array z
+    (max-subtracted, so large logits do not overflow)."""
     if z.size == 0:
         raise ValueError("softmax input must be non-empty")
     if not np.isfinite(z).all():
@@ -227,11 +211,6 @@ def _softmax_inplace(z):
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def softmax(z):
-    """Normalize logits into a probability vector (max-subtracted for safety)."""
-    return _softmax_inplace(np.array(z, dtype=float))
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator,
@@ -314,26 +293,10 @@ def _one_hot(labels, k: int):
     return y
 
 
-def _batch_xy(batch):
-    """An (X, Y-one-hot) pair as float arrays; X is pre-normalized."""
-    x, y = batch
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-
-def loss(params: ModelParams, batch, lam: float = 0.0) -> float:
-    """Per-unit binary cross-entropy against the softmax outputs, plus an
-    L2 penalty on weights (biases excluded)."""
-    x, y = _batch_xy(batch)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if not np.all((y == 0) | (y == 1)) or not np.allclose(y.sum(axis=1), 1.0):
-        raise ValueError("labels must be one-hot")
-    return _loss(params, forward_output(params, x), y, lam)
-
-
 def _loss(params: ModelParams, probs, y, lam: float) -> float:
-    """`loss` from the network outputs for a non-empty batch whose y is
-    known to be one-hot; probs is left as it was."""
+    """Per-unit binary cross-entropy of the network outputs probs of a
+    non-empty batch against its one-hot labels y, plus an L2 penalty on
+    weights (biases excluded); probs is left as it was."""
     m = probs.shape[0]
     p = np.clip(probs, LOG_CLAMP, 1.0 - LOG_CLAMP)
     q = 1.0 - p
@@ -363,22 +326,10 @@ def _param_views(flat, sizes):
     return weights, biases
 
 
-def backward(params: ModelParams, batch, lam: float = 0.0):
-    """Analytic gradient of `loss` for every weight and bias.
-
-    Returns (weight_grads, bias_grads) shaped like the parameters.
-    """
-    x, y = _batch_xy(batch)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    grad_w = [np.empty_like(w) for w in params.weights]
-    grad_b = [np.empty_like(b) for b in params.biases]
-    _backward_into(params, x, y, lam, grad_w, grad_b)
-    return grad_w, grad_b
-
-
 def _backward_into(params: ModelParams, x, y, lam: float, grad_w, grad_b):
-    """`backward` for a non-empty batch, written into the given arrays."""
+    """Analytic gradient of `_loss` for every weight and bias, for a
+    non-empty batch, written into grad_w and grad_b shaped like the
+    parameters."""
     m = x.shape[0]
     activations = forward(params, x)
     p = activations[-1]
@@ -397,31 +348,13 @@ def _backward_into(params: ModelParams, x, y, lam: float, grad_w, grad_b):
             dz *= activations[l] > 0
 
 
-def adam_step(params: ModelParams, state: AdamState, grads, hyper: Hyperparams):
-    """One bias-corrected Adam update; mutates params and state in place.
-
-    Adam is elementwise, so it runs once over all arrays laid end to end,
-    which gives the same bits as updating each array in turn."""
-    grad_w, grad_b = grads
-    if len(grad_w) != len(params.weights):
-        raise ValueError("gradient/parameter layer count mismatch")
-    arrays, grad_arrays = params.weights + params.biases, [*grad_w, *grad_b]
-    if any(a.shape != ga.shape for a, ga in zip(arrays, grad_arrays)):
-        raise ValueError("gradient shape mismatch")
-    flat = np.concatenate([a.ravel() for a in arrays])
-    _adam_update(flat, np.concatenate([ga.ravel() for ga in grad_arrays]),
-                 state, hyper)
-    new_weights, new_biases = _param_views(flat, params.layer_sizes)
-    for a, new in zip(arrays, new_weights + new_biases):
-        a[...] = new
-    return params, state
-
-
-def _adam_update(p, g, state: AdamState, hyper: Hyperparams):
-    """`adam_step` on the flat parameter array p, in place, given the flat
-    gradient g laid out the same way."""
+def _adam_update(p, g, state: AdamState, learning_rate: float):
+    """One bias-corrected Adam update of the parameter array p, in place,
+    given the gradient g shaped like it; mutates state too. Adam is
+    elementwise, so updating all arrays laid end to end gives the same bits
+    as updating each array in turn."""
     state.t += 1
-    b1, b2, m, v = hyper.beta1, hyper.beta2, state.m, state.v
+    b1, b2, m, v = ADAM_BETA1, ADAM_BETA2, state.m, state.v
     m *= b1
     m += (1 - b1) * g
     gg = (1 - b2) * g
@@ -431,8 +364,8 @@ def _adam_update(p, g, state: AdamState, hyper: Hyperparams):
     m_hat = m / (1 - b1 ** state.t)
     v_hat = v / (1 - b2 ** state.t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += hyper.epsilon
-    m_hat *= hyper.learning_rate
+    v_hat += ADAM_EPSILON
+    m_hat *= learning_rate
     m_hat /= v_hat
     p -= m_hat
 
@@ -462,7 +395,7 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
     params.weights, params.biases = _param_views(flat, spec.layer_sizes)
     flat_grads = np.empty_like(flat)
     grad_w, grad_b = _param_views(flat_grads, spec.layer_sizes)
-    state = AdamState.zeros_like(params)
+    state = AdamState.zeros_like(flat)
 
     n = len(train_set)
     # the per-epoch loss pass reuses these, so it allocates no activations:
@@ -476,7 +409,7 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
             idx = order[start:start + hyper.batch_size]
             _backward_into(params, x_all[idx], y_all[idx], hyper.lam,
                            grad_w, grad_b)
-            _adam_update(flat, flat_grads, state, hyper)
+            _adam_update(flat, flat_grads, state, hyper.learning_rate)
         probs = _output(params, x_all, scratch)
         epoch_losses.append(_loss(params, probs, y_all, hyper.lam))
 
@@ -579,6 +512,8 @@ def import_model(data: bytes):
     if n_layers < 3:
         raise ShapeMismatch("need at least 3 layers")
     sizes = struct.unpack(f"<{n_layers}I", r.take(4 * n_layers))
+    if min(sizes) < 1:
+        raise ShapeMismatch(f"layer sizes {sizes} must be positive")
     (k,) = struct.unpack("<B", r.take(1))
     if k != sizes[-1]:
         raise ShapeMismatch(f"class count {k} != output width {sizes[-1]}")

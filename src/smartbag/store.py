@@ -529,10 +529,14 @@ class JsonConnection:
             body = json.dumps(doc).encode("utf-8")
             headers["Content-Type"] = "application/json"
         sock = self._conn.sock
-        if sock is not None and select.select([sock], [], [], 0)[0]:
-            # an idle kept-alive socket that reads ready was closed by the
-            # peer; open a new one rather than send into it
-            self._conn.close()
+        if sock is not None:
+            # an idle kept-alive socket that polls ready was closed by the
+            # peer; open a new one rather than send into it. poll, unlike
+            # select, takes file descriptors past 1023.
+            idle = select.poll()
+            idle.register(sock, select.POLLIN)
+            if idle.poll(0):
+                self._conn.close()
         try:
             self._conn.request(method, target, body=body, headers=headers)
             resp = self._conn.getresponse()

@@ -7,10 +7,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smartbag import nn
-from smartbag.dataset import default_profiles, generate
+from smartbag.dataset import DEFAULT_CLASSES, default_profiles, generate
 from smartbag.store import POLL_INTERVAL_S, Store, StoreUnavailable
 
 
@@ -137,4 +138,15 @@ def trained_model_blob():
 def model_file(tmp_path_factory, trained_model_blob):
     path = tmp_path_factory.mktemp("model") / "model.bagm"
     path.write_bytes(trained_model_blob)
+    return str(path)
+
+
+@pytest.fixture
+def narrow_model_file(tmp_path):
+    """A well-formed model file whose input width, 5, is not the 13 record
+    features."""
+    spec = nn.ModelSpec((5, 4, 5))
+    params = nn.init_params(spec, np.random.default_rng(0))
+    path = tmp_path / "narrow.bagm"
+    path.write_bytes(nn.export_model(params, spec, DEFAULT_CLASSES))
     return str(path)

@@ -181,6 +181,10 @@ def make_service(model_file, tmp_path, store=None):
 
 
 class TestAlertService:
+    def test_refuses_model_of_wrong_width(self, narrow_model_file, tmp_path):
+        with pytest.raises(nn.ShapeMismatch, match="input width 5"):
+            make_service(narrow_model_file, tmp_path)
+
     def test_sos_in_history_produces_one_notification(self, model_file,
                                                       tmp_path):
         service, store, log, _ = make_service(model_file, tmp_path)

@@ -3,11 +3,12 @@ import textwrap
 
 import pytest
 
-from smartbag import nn
+from smartbag import alerts, nn
 from smartbag.cli import main
 from smartbag.store import Store, StoreServer, StoreUnavailable
 
 from conftest import run_python
+from test_nn import zero_layer_model_blob
 
 
 class TestGen:
@@ -74,6 +75,14 @@ class TestTrainEval:
     def test_train_missing_file_operational_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
 
+    def test_eval_zero_layer_size_operational_error(self, data_csv, tmp_path,
+                                                    capsys):
+        model = tmp_path / "zero.bagm"
+        model.write_bytes(zero_layer_model_blob())
+        assert main(["eval", "--model", str(model), "--data", data_csv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["gen", "train", "eval", "store",
@@ -101,6 +110,18 @@ class TestServices:
         assert len(closed) == 1 and closed[0]._log.closed
         with pytest.raises(StoreUnavailable):
             closed[0].patch("p/x", {"n": 1})
+
+    def test_alerts_refuses_model_of_wrong_width(self, narrow_model_file,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(alerts.AlertService, "run", lambda service:
+                            pytest.fail("service started on the model"))
+        assert main(["alerts", "--store", "http://127.0.0.1:9",
+                     "--model", narrow_model_file,
+                     "--log", str(tmp_path / "n.jsonl"),
+                     "--cursor", str(tmp_path / "cursor.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load model")
 
     def test_alarm_against_live_store(self, capsys):
         server = StoreServer(Store()).start()

@@ -1,5 +1,7 @@
 import math
+import struct
 import textwrap
+import zlib
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ def make_params(sizes, rng, scale=0.5):
     return nn.ModelParams(weights, biases, norm)
 
 
-def finite_difference_grads(params, batch, lam, step=1e-5):
+def empty_grads(params):
+    """Fresh (weight, bias) gradient arrays shaped like the parameters, for
+    `nn._backward_into` to fill."""
+    return ([np.empty_like(w) for w in params.weights],
+            [np.empty_like(b) for b in params.biases])
+
+
+def finite_difference_grads(params, x, y, lam, step=1e-5):
     """Central-difference oracle for the loss gradient."""
     grad_w = [np.zeros_like(w) for w in params.weights]
     grad_b = [np.zeros_like(b) for b in params.biases]
@@ -32,12 +41,22 @@ def finite_difference_grads(params, batch, lam, step=1e-5):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = nn.loss(params, batch, lam)
+                hi = nn._loss(params, nn.forward_output(params, x), y, lam)
                 flat[i] = orig - step
-                lo = nn.loss(params, batch, lam)
+                lo = nn._loss(params, nn.forward_output(params, x), y, lam)
                 flat[i] = orig
                 gflat[i] = (hi - lo) / (2 * step)
     return grad_w, grad_b
+
+
+def zero_layer_model_blob() -> bytes:
+    """A BAGM1 stream with a valid CRC and a full payload for layer sizes
+    (0, 2, 2)."""
+    body = b"BAGM" + struct.pack("<BB3IB", 1, 3, 0, 2, 2, 2) + b"\x01A\x01B"
+    # no normalizer; the 0x2 layer's biases, the 2x2 layer's weights and
+    # biases
+    body += bytes(4 * (2 + 4 + 2))
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def assert_bits_equal(actual, expected):
@@ -59,58 +78,56 @@ def max_rel_error(analytic, numeric):
 
 class TestRelu:
     def test_definition(self):
-        assert np.array_equal(nn.relu([-3, 0, 2]), [0, 0, 2])
+        z = np.array([-3.0, 0.0, 2.0])
+        assert nn._relu_inplace(z) is z
+        assert np.array_equal(z, [0, 0, 2])
 
     def test_zero_fixed_point(self):
-        assert np.array_equal(nn.relu(np.zeros(7)), np.zeros(7))
+        assert np.array_equal(nn._relu_inplace(np.zeros(7)), np.zeros(7))
 
     def test_identity_on_positives(self):
-        assert nn.relu([1e6])[0] == 1e6
+        assert nn._relu_inplace(np.array([1e6]))[0] == 1e6
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             z = rng.normal(0, 10, size=rng.integers(1, 30))
-            once = nn.relu(z)
-            assert np.array_equal(nn.relu(once), once)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            nn.relu([1.0, np.nan])
-        with pytest.raises(ValueError):
-            nn.relu([np.inf])
+            once = nn._relu_inplace(z.copy())
+            assert np.array_equal(nn._relu_inplace(once.copy()), once)
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.allclose(nn.softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        out = nn._softmax_inplace(np.zeros(2))
+        assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_shift_invariance_constant(self):
         for c in (-100.0, 0.0, 3.5, 700.0):
-            out = nn.softmax([c] * 5)
+            out = nn._softmax_inplace(np.full(5, c))
             assert np.allclose(out, [0.2] * 5, atol=1e-12)
 
     def test_log_integers(self):
         # direct evaluation: e^{ln k} = k, so outputs are k / (1+2+3)
-        out = nn.softmax([math.log(1), math.log(2), math.log(3)])
-        assert np.allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
+        z = np.log([1.0, 2.0, 3.0])
+        assert nn._softmax_inplace(z) is z
+        assert np.allclose(z, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
 
     def test_normalization_and_shift_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             z = rng.normal(0, 50, size=rng.integers(1, 20))
-            out = nn.softmax(z)
+            out = nn._softmax_inplace(z.copy())
             assert abs(out.sum() - 1.0) <= 1e-12
             c = rng.normal(0, 100)
-            assert np.allclose(nn.softmax(z + c), out, atol=1e-12)
+            assert np.allclose(nn._softmax_inplace(z + c), out, atol=1e-12)
 
     def test_overflow_safety(self):
-        out = nn.softmax([1000.0, 1000.0])
+        out = nn._softmax_inplace(np.array([1000.0, 1000.0]))
         assert np.allclose(out, [0.5, 0.5])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            nn.softmax([])
+            nn._softmax_inplace(np.array([]))
 
 
 class TestForward:
@@ -179,7 +196,8 @@ class TestLoss:
             [np.zeros(4), np.zeros(5)], norm)
         y = np.zeros((1, 5))
         y[0, 2] = 1.0
-        value = nn.loss(params, (np.zeros((1, 3)), y))
+        value = nn._loss(params, nn.forward_output(params, np.zeros((1, 3))),
+                         y, 0.0)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(2.5020, abs=1e-4)
 
@@ -192,7 +210,7 @@ class TestLoss:
             [np.zeros(2), np.zeros(2)], norm)
         x = np.array([[1.0, 0.0]])
         y = np.array([[1.0, 0.0]])
-        assert nn.loss(params, (x, y)) < 1e-8
+        assert nn._loss(params, nn.forward_output(params, x), y, 0.0) < 1e-8
 
     def test_l2_penalty_exact(self):
         norm = Normalizer(np.zeros(1), np.ones(1))
@@ -201,8 +219,10 @@ class TestLoss:
             [np.zeros(1), np.zeros(2)], norm)
         x = np.ones((1, 1))
         y = np.array([[1.0, 0.0]])
-        assert nn.loss(params, (x, y), lam=1.0) - nn.loss(params, (x, y), lam=0.0) \
-            == pytest.approx(2.0, abs=1e-12)
+        probs = nn.forward_output(params, x)
+        with_l2 = nn._loss(params, probs, y, 1.0)
+        without = nn._loss(params, probs, y, 0.0)
+        assert with_l2 - without == pytest.approx(2.0, abs=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(11)
@@ -210,28 +230,23 @@ class TestLoss:
             params = make_params([3, 4, 3], rng)
             x = rng.normal(size=(4, 3))
             y = np.eye(3)[rng.integers(0, 3, size=4)]
-            assert nn.loss(params, (x, y)) >= 0.0
-
-    def test_rejects_empty_batch(self):
-        params = make_params([3, 4, 2], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            nn.loss(params, (np.zeros((0, 3)), np.zeros((0, 2))))
-
-    def test_rejects_non_one_hot(self):
-        params = make_params([3, 4, 2], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            nn.loss(params, (np.zeros((1, 3)), np.array([[0.5, 0.5]])))
+            probs = nn.forward_output(params, x)
+            assert nn._loss(params, probs, y, 0.0) >= 0.0
 
     def test_bit_identical_to_plain_formula(self):
         rng = np.random.default_rng(17)
         params = make_params([13, 15, 20, 5], rng, scale=2.0)
         x = rng.normal(size=(200, 13))
         y = np.eye(5)[rng.integers(0, 5, size=200)]
-        p = np.clip(nn.forward(params, x)[-1], nn.LOG_CLAMP, 1.0 - nn.LOG_CLAMP)
+        probs = nn.forward(params, x)[-1]
+        before = probs.copy()
+        value = nn._loss(params, probs, y, 0.7)
+        assert_bits_equal(probs, before)
+        p = np.clip(probs, nn.LOG_CLAMP, 1.0 - nn.LOG_CLAMP)
         data = -np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)) / 200
         reg = 0.7 / (2.0 * 200) * sum(float(np.sum(w * w))
                                       for w in params.weights)
-        assert nn.loss(params, (x, y), 0.7).hex() == float(data + reg).hex()
+        assert value.hex() == float(data + reg).hex()
 
 
 class TestBackward:
@@ -240,8 +255,9 @@ class TestBackward:
         params = make_params([3, 4, 5, 2], rng)
         x = rng.normal(size=(4, 3))
         y = np.eye(2)[rng.integers(0, 2, size=4)]
-        analytic = nn.backward(params, (x, y), lam=0.3)
-        numeric = finite_difference_grads(params, (x, y), lam=0.3)
+        analytic = empty_grads(params)
+        nn._backward_into(params, x, y, 0.3, *analytic)
+        numeric = finite_difference_grads(params, x, y, 0.3)
         assert max_rel_error(analytic, numeric) <= 1e-5
 
     def test_l2_contribution(self):
@@ -249,8 +265,9 @@ class TestBackward:
         params = make_params([3, 4, 2], rng)
         x = rng.normal(size=(5, 3))
         y = np.eye(2)[rng.integers(0, 2, size=5)]
-        g1 = nn.backward(params, (x, y), lam=1.0)
-        g0 = nn.backward(params, (x, y), lam=0.0)
+        g1, g0 = empty_grads(params), empty_grads(params)
+        nn._backward_into(params, x, y, 1.0, *g1)
+        nn._backward_into(params, x, y, 0.0, *g0)
         m = 5
         for w, a, b in zip(params.weights, g1[0], g0[0]):
             assert np.allclose(a - b, w / m, atol=1e-12)
@@ -265,7 +282,8 @@ class TestBackward:
             [np.zeros(2), np.zeros(2)], norm)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.eye(2)
-        grads = nn.backward(params, (x, y))
+        grads = empty_grads(params)
+        nn._backward_into(params, x, y, 0.0, *grads)
         norm_sq = sum(float(np.sum(g * g)) for part in grads for g in part)
         assert math.sqrt(norm_sq) < 1e-8
 
@@ -274,7 +292,8 @@ class TestBackward:
         params = make_params([13, 15, 20, 5], rng)
         x = rng.normal(size=(64, 13))
         y = np.eye(5)[rng.integers(0, 5, size=64)]
-        grad_w, grad_b = nn.backward(params, (x, y), lam=0.4)
+        grad_w, grad_b = empty_grads(params)
+        nn._backward_into(params, x, y, 0.4, grad_w, grad_b)
         acts = nn.forward(params, x)
         p = acts[-1]
         pc = np.clip(p, nn.LOG_CLAMP, 1.0 - nn.LOG_CLAMP)
@@ -289,78 +308,59 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        params = make_params([2, 3, 2], np.random.default_rng(0))
-        before = params.copy()
-        state = nn.AdamState.zeros_like(params)
-        grads = ([np.zeros_like(w) for w in params.weights],
-                 [np.zeros_like(b) for b in params.biases])
-        nn.adam_step(params, state, grads, nn.Hyperparams())
-        for a, b in zip(params.weights, before.weights):
-            assert np.array_equal(a, b)
+        p = np.random.default_rng(0).normal(size=9)
+        before = p.copy()
+        state = nn.AdamState.zeros_like(p)
+        nn._adam_update(p, np.zeros_like(p), state, 0.001)
+        assert_bits_equal(p, before)
         assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
         # bias-corrected first step: m_hat = g, v_hat = g^2,
         # update = -lr * g / (|g| + eps) ~ -lr * sign(g)
-        hyper = nn.Hyperparams()
+        lr = nn.Hyperparams().learning_rate
         for g in (0.3, -2.0, 1e-3):
-            norm = Normalizer(np.zeros(1), np.ones(1))
-            params = nn.ModelParams([np.array([[1.0]]), np.array([[1.0]])],
-                                    [np.zeros(1), np.zeros(1)], norm)
-            state = nn.AdamState.zeros_like(params)
-            grads = ([np.array([[g]]), np.zeros((1, 1))],
-                     [np.zeros(1), np.zeros(1)])
-            nn.adam_step(params, state, grads, hyper)
-            delta = params.weights[0][0, 0] - 1.0
-            assert delta == pytest.approx(-hyper.learning_rate * np.sign(g),
-                                          rel=1e-4)
+            p = np.array([1.0, 1.0])
+            state = nn.AdamState.zeros_like(p)
+            nn._adam_update(p, np.array([g, 0.0]), state, lr)
+            assert p[0] - 1.0 == pytest.approx(-lr * np.sign(g), rel=1e-4)
+            assert p[1] == 1.0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        grads_src = make_params([3, 4, 2], rng)
+        g = np.random.default_rng(4).normal(size=23)
         results = []
         for _ in range(2):
-            params = make_params([3, 4, 2], np.random.default_rng(4))
-            state = nn.AdamState.zeros_like(params)
-            nn.adam_step(params, state,
-                         (grads_src.weights, grads_src.biases), nn.Hyperparams())
-            results.append([w.copy() for w in params.weights])
-        for a, b in zip(*results):
-            assert np.array_equal(a, b)
+            p = np.random.default_rng(5).normal(size=23)
+            nn._adam_update(p, g, nn.AdamState.zeros_like(p), 0.001)
+            results.append(p)
+        assert_bits_equal(results[0], results[1])
 
     def test_bit_identical_to_textbook_formula(self):
+        # one update over all arrays laid end to end, against the formula
+        # applied to each array in turn
         rng = np.random.default_rng(6)
-        hyper = nn.Hyperparams(learning_rate=0.01)
-        b1, b2 = hyper.beta1, hyper.beta2
-        lr, eps = hyper.learning_rate, hyper.epsilon
+        b1, b2, eps, lr = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPSILON, 0.01
         params = make_params([4, 6, 3], rng)
-        state = nn.AdamState.zeros_like(params)
-        ref = params.copy()
-        arrays = ref.weights + ref.biases
+        arrays = params.weights + params.biases
+        flat = np.concatenate([a.ravel() for a in arrays])
+        state = nn.AdamState.zeros_like(flat)
         ms = [np.zeros_like(a) for a in arrays]
         vs = [np.zeros_like(a) for a in arrays]
         for t in range(1, 6):
             grads = make_params([4, 6, 3], rng)
-            nn.adam_step(params, state, (grads.weights, grads.biases), hyper)
-            for i, g in enumerate(grads.weights + grads.biases):
+            grad_arrays = grads.weights + grads.biases
+            flat_grads = np.concatenate([g.ravel() for g in grad_arrays])
+            nn._adam_update(flat, flat_grads, state, lr)
+            for i, g in enumerate(grad_arrays):
                 ms[i] = b1 * ms[i] + (1 - b1) * g
                 vs[i] = b2 * vs[i] + (1 - b2) * g * g
                 m_hat = ms[i] / (1 - b1 ** t)
                 v_hat = vs[i] / (1 - b2 ** t)
                 arrays[i] = arrays[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
         assert state.t == 5
-        for got, want in zip(params.weights + params.biases, arrays):
-            assert_bits_equal(got, want)
+        assert_bits_equal(flat, np.concatenate([a.ravel() for a in arrays]))
         assert_bits_equal(state.m, np.concatenate([m.ravel() for m in ms]))
         assert_bits_equal(state.v, np.concatenate([v.ravel() for v in vs]))
-
-    def test_shape_mismatch(self):
-        params = make_params([3, 4, 2], np.random.default_rng(0))
-        state = nn.AdamState.zeros_like(params)
-        bad = ([np.zeros((1, 1)) for _ in params.weights],
-               [np.zeros(1) for _ in params.biases])
-        with pytest.raises(ValueError):
-            nn.adam_step(params, state, bad, nn.Hyperparams())
 
 
 def separable_toy_set():
@@ -410,8 +410,9 @@ class TestTrain:
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_matches_public_step_loop(self, lam):
         # train runs on flat buffers and scores the training set from its
-        # last epoch's forward pass; the same loop over the public functions,
-        # on the same permutation stream, must give the same bits
+        # last epoch's forward pass; the same kernels run on fresh gradient
+        # arrays and one Adam state per parameter array, on the same
+        # permutation stream, must give the same bits
         data = generate(default_profiles(), 300, seed=5)
         spec = nn.ModelSpec()
         hyper = nn.Hyperparams(epochs=3, batch_size=64, lam=lam, seed=11)
@@ -422,15 +423,19 @@ class TestTrain:
         y = np.eye(spec.output_width)[data.labels]
         rng = np.random.default_rng(hyper.seed)
         params = nn.init_params(spec, rng, normalizer=norm)
-        state = nn.AdamState.zeros_like(params)
+        arrays = params.weights + params.biases
+        states = [nn.AdamState.zeros_like(a) for a in arrays]
         losses = []
         for _ in range(hyper.epochs):
             order = rng.permutation(len(data))
             for start in range(0, len(data), hyper.batch_size):
                 idx = order[start:start + hyper.batch_size]
-                grads = nn.backward(params, (x[idx], y[idx]), lam)
-                nn.adam_step(params, state, grads, hyper)
-            losses.append(nn.loss(params, (x, y), lam))
+                grad_w, grad_b = empty_grads(params)
+                nn._backward_into(params, x[idx], y[idx], lam, grad_w, grad_b)
+                for a, g, state in zip(arrays, grad_w + grad_b, states):
+                    nn._adam_update(a, g, state, hyper.learning_rate)
+            probs = nn.forward_output(params, x)
+            losses.append(nn._loss(params, probs, y, lam))
         for got, want in zip(model.weights + model.biases,
                              params.weights + params.biases):
             assert_bits_equal(got, want)
@@ -565,9 +570,6 @@ class TestModelFile:
             nn.import_model(bytes(blob))
 
     def test_unsupported_version(self):
-        import struct
-        import zlib
-
         blob = bytearray(nn.export_model(*self.trained()))
         blob[4] = 99
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
@@ -578,6 +580,10 @@ class TestModelFile:
         blob = nn.export_model(*self.trained())
         with pytest.raises(nn.ModelFormatError):
             nn.import_model(blob[:20])
+
+    def test_zero_layer_size(self):
+        with pytest.raises(nn.ShapeMismatch, match="positive"):
+            nn.import_model(zero_layer_model_blob())
 
     def test_corrupted_payload_detected(self):
         blob = bytearray(nn.export_model(*self.trained()))

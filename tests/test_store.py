@@ -29,7 +29,7 @@ from smartbag.store import (
     StoreUnavailable, merge_docs,
 )
 
-from conftest import FlakyStore
+from conftest import FlakyStore, run_python
 
 
 def wal(records) -> bytes:
@@ -1060,6 +1060,39 @@ class TestHttpClientFailures:
         replayed = Store(log_path=log)
         assert replayed.get("bags/a/latest") == {"v": 1, "w": 2}
         replayed.close()
+
+    def test_socket_past_fd_1023(self):
+        """With 1100 other files open the client's socket gets a number
+        past select()'s limit; it still sends, and still replaces a socket
+        the peer closed. Runs in its own process, which raises its own
+        soft file limit."""
+        out = run_python(textwrap.dedent("""
+            import os, resource
+            from smartbag.store import HttpStoreClient, Store, StoreServer
+            soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            if hard != resource.RLIM_INFINITY and hard < 1200:
+                print("low hard limit")
+                raise SystemExit
+            resource.setrlimit(resource.RLIMIT_NOFILE, (hard, hard))
+            held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+            first = StoreServer(Store()).start()
+            client = HttpStoreClient(first.base_url)
+            assert client.patch("bags/a/latest", {"v": 1}) == {"v": 1}
+            assert client.http._conn.sock.fileno() > 1023
+            assert client.get("bags/a/latest") == {"v": 1}
+            port = first.httpd.server_address[1]
+            first.stop()
+            second = StoreServer(Store(), port=port).start()
+            assert client.patch("bags/a/latest", {"w": 2}) == {"w": 2}
+            client.close()
+            second.stop()
+            for fd in held:
+                os.close(fd)
+            print("ok")
+            """))
+        if out.startswith("low hard limit"):
+            pytest.skip("hard RLIMIT_NOFILE below 1200")
+        assert out == "ok\n"
 
 
 @pytest.fixture(params=["store", "http"])
