@@ -14,6 +14,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,6 +30,8 @@ logger = logging.getLogger(__name__)
 # issued raises a warning
 ALARM_TTL_MS = 60000
 
+HISTORY_PAGE = 500  # most entries one history request of a poll returns
+
 SEVERITY = {"SOS": "EMERGENCY", "GAS": "WARN", "WATER": "WARN",
             "ACTIVITY": "EMERGENCY", "ALARM_TRIGGERED": "INFO"}
 
@@ -41,17 +44,17 @@ class RecordSchemaError(Exception):
 class AlertRuleSet:
     mq2_max: float = 300.0
     mq135_max: float = 200.0
-    water_alert: bool = True
-    sos_alert: bool = True
-    alert_classes: frozenset = frozenset({"Falling"})
     dedup_window_ms: int = 30000
+    # fixed rules, not settings: perfbench/pipeline.py reads them from here
+    sos_alert: ClassVar[bool] = True
+    water_alert: ClassVar[bool] = True
+    alert_classes: ClassVar[frozenset] = frozenset({"Falling"})
 
     def __post_init__(self):
         if self.mq2_max <= 0 or self.mq135_max <= 0:
             raise ValueError("gas thresholds must be > 0")
         if self.dedup_window_ms < 0:
             raise ValueError("dedup window must be >= 0")
-        object.__setattr__(self, "alert_classes", frozenset(self.alert_classes))
 
 
 @dataclass(frozen=True)
@@ -118,13 +121,13 @@ def eval_rules(record: dict, activity: str | None, rules: AlertRuleSet,
     device = record.get("deviceId", "?")
     ts = record.get("ts", now_ms)
     candidates = []
-    if rules.sos_alert and record.get("sos") == 1:
+    if record.get("sos") == 1:
         candidates.append(("SOS", "SOS button pressed"))
     gas = record.get("gas", {})
     if gas.get("mq2", 0) > rules.mq2_max or gas.get("mq135", 0) > rules.mq135_max:
         candidates.append(
             ("GAS", f"gas level high (mq2={gas.get('mq2')}, mq135={gas.get('mq135')})"))
-    if rules.water_alert and record.get("water") == 1:
+    if record.get("water") == 1:
         candidates.append(("WATER", "water detected inside the bag"))
     if activity is not None and activity in rules.alert_classes:
         candidates.append(("ACTIVITY", f"alerting activity detected: {activity}"))
@@ -271,17 +274,22 @@ class AlertService:
             self._emit(event)
 
     def poll_once(self) -> int:
-        """Fetch and process new history entries; returns how many."""
-        device = self.config.device_id
-        entries = self.store.get_history(f"bags/{device}/history",
-                                         since=self.cursor)
-        for entry in entries:
-            self._process_entry(entry.push_id, entry.doc)
-            # advance only after the entry is fully processed
-            self.cursor = entry.push_id
-            self._save_cursor()
+        """Process new history entries a page at a time; returns how many."""
+        path = f"bags/{self.config.device_id}/history"
+        count = 0
+        while True:
+            entries = self.store.get_history(path, since=self.cursor,
+                                             limit=HISTORY_PAGE)
+            for entry in entries:
+                self._process_entry(entry.push_id, entry.doc)
+                # advance only after the entry is fully processed
+                self.cursor = entry.push_id
+                self._save_cursor()
+            count += len(entries)
+            if len(entries) < HISTORY_PAGE:
+                break
         self._check_alarm()
-        return len(entries)
+        return count
 
     # -- find-my-bag alarm ------------------------------------------------
 
@@ -313,19 +321,14 @@ class AlertService:
                 "alarm command not acknowledged before TTL"))
             self.outstanding_alarm = None
 
-    def run(self, max_polls: int = None) -> None:
-        """Poll loop; store failures back off and retry, never fatal."""
+    def run(self) -> None:
+        """Poll every interval, or min(2**k, 32) intervals after k failures."""
         backoff = 1
-        polls = 0
         while True:
             try:
                 self.poll_once()
                 backoff = 1
             except StoreUnavailable as e:
                 logger.warning("store unreachable: %s", e)
-                self.clock.sleep_ms(self.config.poll_interval_ms * backoff)
                 backoff = min(backoff * 2, 32)
-            polls += 1
-            if max_polls is not None and polls >= max_polls:
-                return
-            self.clock.sleep_ms(self.config.poll_interval_ms)
+            self.clock.sleep_ms(self.config.poll_interval_ms * backoff)

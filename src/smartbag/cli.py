@@ -1,6 +1,6 @@
 """`smartbag` command suite.
 
-Subcommands: gen, train, eval, store, gateway, replay, alerts, alarm.
+Subcommands: gen, train, eval, store, gateway, alerts, alarm.
 Exit codes: 0 success, 1 operational failure, 2 usage error.
 """
 
@@ -18,21 +18,6 @@ from .store import HttpStoreClient, Store, StoreServer, StoreUnavailable
 
 class OperationalError(Exception):
     """Failure that should exit with status 1."""
-
-
-def _read_config_file(path) -> dict:
-    """KEY=VALUE lines; '#' comments and blank lines ignored."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise OperationalError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
 
 
 def cmd_gen(args) -> int:
@@ -125,15 +110,7 @@ def _http(client_class, url):
         raise UsageError(str(e))
 
 
-def _make_source(args, clock):
-    if args.trace is not None:
-        return frames.TraceSource.from_file(args.trace, start_ms=clock.now_ms(),
-                                            speed=args.speed)
-    return frames.SimulatorSource(dataset.default_profiles(),
-                                  device_id=args.device, seed=args.seed)
-
-
-def _run_gateway(args, stop_when_exhausted: bool) -> int:
+def cmd_gateway(args) -> int:
     try:
         config = GatewayConfig(device_id=args.device, period_ms=args.period,
                                buffer_capacity=args.buffer)
@@ -141,7 +118,12 @@ def _run_gateway(args, stop_when_exhausted: bool) -> int:
         raise UsageError(str(e))
     clock = RealClock()
     try:
-        source = _make_source(args, clock)
+        if args.trace is None:
+            source = frames.SimulatorSource(dataset.default_profiles(),
+                                            device_id=args.device, seed=args.seed)
+        else:
+            source = frames.TraceSource.from_file(
+                args.trace, start_ms=clock.now_ms(), speed=args.speed)
     except OSError as e:
         raise OperationalError(str(e))
     except ValueError as e:  # a bad --speed
@@ -150,7 +132,7 @@ def _run_gateway(args, stop_when_exhausted: bool) -> int:
     gw = Gateway(source, _http(HttpStoreClient, args.store), config,
                  clock=clock, sinks=sinks)
     try:
-        gw.run(stop_when_exhausted=stop_when_exhausted)
+        gw.run()
     except KeyboardInterrupt:
         gw.flush()
     print(f"pushed {gw.pushed_history} records "
@@ -158,38 +140,18 @@ def _run_gateway(args, stop_when_exhausted: bool) -> int:
     return 0
 
 
-def cmd_gateway(args) -> int:
-    return _run_gateway(args, stop_when_exhausted=False)
-
-
-def cmd_replay(args) -> int:
-    if args.trace is None:
-        raise UsageError("replay requires --trace")
-    return _run_gateway(args, stop_when_exhausted=True)
-
-
 def cmd_alerts(args) -> int:
     try:
-        overrides = _read_config_file(args.config) if args.config else {}
-        rules = alerts.AlertRuleSet(
-            mq2_max=float(overrides.get("mq2_max", 300.0)),
-            mq135_max=float(overrides.get("mq135_max", 200.0)),
-            dedup_window_ms=int(overrides.get("dedup_window_ms", 30000)),
-        )
+        rules = alerts.AlertRuleSet(mq2_max=args.mq2_max,
+                                    mq135_max=args.mq135_max,
+                                    dedup_window_ms=args.dedup_window)
         config = alerts.AlertServiceConfig(
-            device_id=args.device,
-            poll_interval_ms=int(overrides.get("poll_interval_ms",
-                                               args.interval)),
-            rules=rules,
-        )
-    except (OSError, ValueError) as e:
-        if args.config is None:  # every value came from a flag
-            raise UsageError(str(e))
-        raise OperationalError(f"config {args.config}: {e}")
+            device_id=args.device, poll_interval_ms=args.interval, rules=rules)
+    except ValueError as e:
+        raise UsageError(str(e))
     sinks = [alerts.NotificationLog(args.log)]
-    webhook = overrides.get("webhook_url", args.webhook)
-    if webhook:
-        sinks.append(_http(alerts.WebhookSink, webhook))
+    if args.webhook:
+        sinks.append(_http(alerts.WebhookSink, args.webhook))
     try:
         service = alerts.AlertService(
             _http(HttpStoreClient, args.store), args.model, config,
@@ -260,19 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default="store.wal")
     p.set_defaults(func=cmd_store)
 
-    for name, help_text in (("gateway", "run the telemetry gateway"),
-                            ("replay", "replay a frame trace through the gateway")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--store", default="http://127.0.0.1:8450")
-        p.add_argument("--device", default="BAG1")
-        p.add_argument("--period", type=int, default=2000, help="push period ms")
-        p.add_argument("--buffer", type=int, default=1024)
-        p.add_argument("--trace", default=None, help="frame trace file")
-        p.add_argument("--speed", type=float, default=1.0,
-                       help="trace replay acceleration factor")
-        p.add_argument("--seed", type=int, default=0, help="simulator seed")
-        p.add_argument("--events", default=None, help="gateway event log path")
-        p.set_defaults(func=cmd_gateway if name == "gateway" else cmd_replay)
+    p = sub.add_parser("gateway", help="run the telemetry gateway")
+    p.add_argument("--store", default="http://127.0.0.1:8450")
+    p.add_argument("--device", default="BAG1")
+    p.add_argument("--period", type=int, default=2000, help="push period ms")
+    p.add_argument("--buffer", type=int, default=1024)
+    p.add_argument("--trace", default=None,
+                   help="replay this frame trace, then exit once it is pushed")
+    p.add_argument("--speed", type=float, default=1.0,
+                   help="trace replay acceleration factor")
+    p.add_argument("--seed", type=int, default=0, help="simulator seed")
+    p.add_argument("--events", default=None, help="gateway event log path")
+    p.set_defaults(func=cmd_gateway)
 
     p = sub.add_parser("alerts", help="run the alert service")
     p.add_argument("--store", default="http://127.0.0.1:8450")
@@ -282,7 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cursor", default="alerts.cursor")
     p.add_argument("--interval", type=int, default=1000, help="poll interval ms")
     p.add_argument("--webhook", default=None)
-    p.add_argument("--config", default=None, help="KEY=VALUE config file")
+    rules = alerts.AlertRuleSet()
+    p.add_argument("--mq2-max", type=float, default=rules.mq2_max,
+                   help="MQ-2 gas alert threshold")
+    p.add_argument("--mq135-max", type=float, default=rules.mq135_max,
+                   help="MQ-135 gas alert threshold")
+    p.add_argument("--dedup-window", type=int, default=rules.dedup_window_ms,
+                   help="alert dedup window ms")
     p.set_defaults(func=cmd_alerts)
 
     p = sub.add_parser("alarm", help="trigger the find-my-bag alarm")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def load_csv(source, classes=DEFAULT_CLASSES) -> Dataset:
     Strict: header must match, every row needs 13 numeric features plus a
     known label name; failures are reported with their row number.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_csv(fh, classes)
     reader = csv.reader(source)
@@ -140,7 +141,7 @@ def save_csv(dataset: Dataset, sink=None) -> str | None:
     With no sink, returns the CSV text. Values round-trip through repr so
     load(save(d)) reproduces d exactly.
     """
-    if isinstance(sink, (str, bytes)):
+    if isinstance(sink, (str, bytes, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             save_csv(dataset, fh)
             return None

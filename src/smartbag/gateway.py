@@ -102,20 +102,14 @@ class Gateway:
             self.dropped += 1
         self._poll_commands(now)
 
-    def run(self, max_ticks: int = None, stop_when_exhausted: bool = False) -> None:
-        """Tick until max_ticks, or until an exhausted source is drained;
-        never raises on store trouble."""
-        ticks = 0
+    def run(self) -> None:
+        """Tick once a period until the source is exhausted and the buffer
+        drained (a live source never is); never raises on store trouble."""
         while True:
             self.tick()
-            ticks += 1
-            if max_ticks is not None and ticks >= max_ticks:
-                break
-            if stop_when_exhausted and getattr(self.source, "exhausted", False) \
-                    and not self.buffer:
-                break
+            if self.source.exhausted and not self.buffer:
+                return
             self.clock.sleep_ms(self.config.period_ms)
-        self.flush()
 
     def flush(self) -> None:
         """Push buffered records oldest first until the store fails."""

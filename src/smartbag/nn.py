@@ -117,6 +117,10 @@ class BadModelChecksum(ModelFormatError):
     pass
 
 
+class BadClassName(ModelFormatError):
+    pass
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Layer widths of the network; hidden layers are ReLU, output is softmax."""
@@ -520,7 +524,10 @@ def import_model(data: bytes):
     names = []
     for _ in range(k):
         (n,) = struct.unpack("<B", r.take(1))
-        names.append(r.take(n).decode("utf-8"))
+        try:
+            names.append(r.take(n).decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise BadClassName(f"class name is not UTF-8: {e}") from None
     width = sizes[0]
     mean = np.frombuffer(r.take(4 * width), dtype="<f4").astype(float)
     std = np.frombuffer(r.take(4 * width), dtype="<f4").astype(float)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from smartbag import nn
+from smartbag import alerts, nn
 from smartbag.alerts import (
     ALARM_TTL_MS, AlertEvent, AlertRuleSet, AlertService, AlertServiceConfig,
     NotificationLog, RecordSchemaError, WebhookSink, classify_record,
@@ -13,8 +13,9 @@ from smartbag.clock import VirtualClock
 from smartbag.dataset import FEATURE_NAMES, default_profiles
 from smartbag.frames import SensorFrame
 from smartbag.gateway import to_record
-from smartbag.store import Store
+from smartbag.store import HttpStoreClient, Store, StoreServer
 
+from conftest import FlakyStore
 from test_frames import random_frame
 
 
@@ -266,6 +267,69 @@ class TestAlertService:
         service.poll_once()
         kinds = [e["kind"] for e in log.read()]
         assert kinds == ["ACTIVITY"]
+
+    def test_poll_reads_history_in_pages(self, model_file, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(alerts, "HISTORY_PAGE", 3)
+        pages = []
+
+        class PageCountingStore(Store):
+            def get_history(self, path, since=None, limit=None):
+                pages.append(limit)
+                return super().get_history(path, since=since, limit=limit)
+
+        server = StoreServer(PageCountingStore()).start()
+        client = HttpStoreClient(server.base_url)
+        try:
+            service, _, log, _ = make_service(model_file, tmp_path,
+                                              store=client)
+            idle = default_profiles()[0]
+            ids = [server.store.append_history(
+                "bags/BAG1/history", record_from_features(idle.mean,
+                                                          sos=int(i == 5)))
+                for i in range(8)]
+            assert service.poll_once() == 8
+            assert pages == [3, 3, 3]
+            assert [e["kind"] for e in log.read()] == ["SOS"]
+            assert service.cursor == ids[-1]
+            assert json.loads((tmp_path / "cursor.json").read_text()) == \
+                {"cursor": ids[-1]}
+            # nothing new: one short page
+            assert service.poll_once() == 0
+            assert pages == [3, 3, 3, 3]
+        finally:
+            client.close()
+            server.stop()
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("down, intervals", [
+    # the store down for six polls, up for two, then down again
+    ([1] * 6 + [0, 0, 1], [2, 4, 8, 16, 32, 32, 1, 1, 2]),
+    ([0, 0, 0], [1, 1, 1]),
+], ids=["store-down", "store-up"])
+def test_run_sleeps_once_per_poll(model_file, tmp_path, down, intervals):
+    """One interval after a poll, min(2**k, 32) after k failed polls in a
+    row; stopped by a clock whose sleep raises after the last poll."""
+    store = FlakyStore()
+    service, _, _, _ = make_service(model_file, tmp_path, store=store)
+    store.down = bool(down[0])
+    sleeps = []
+
+    def sleep_ms(ms):
+        sleeps.append(ms)
+        if len(sleeps) == len(down):
+            raise Stop
+        store.down = bool(down[len(sleeps)])
+
+    service.clock.sleep_ms = sleep_ms
+    with pytest.raises(Stop):
+        service.run()
+    interval = service.config.poll_interval_ms
+    assert sleeps == [interval * n for n in intervals]
 
 
 class TestAlarm:

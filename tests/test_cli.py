@@ -8,7 +8,7 @@ from smartbag.cli import main
 from smartbag.store import Store, StoreServer, StoreUnavailable
 
 from conftest import run_python
-from test_nn import zero_layer_model_blob
+from test_nn import non_utf8_class_model_blob, zero_layer_model_blob
 
 
 class TestGen:
@@ -83,10 +83,18 @@ class TestTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_eval_non_utf8_class_name_operational_error(self, data_csv,
+                                                        tmp_path, capsys):
+        model = tmp_path / "names.bagm"
+        model.write_bytes(non_utf8_class_model_blob())
+        assert main(["eval", "--model", str(model), "--data", data_csv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["gen", "train", "eval", "store",
-                                     "gateway", "replay", "alerts", "alarm"])
+                                     "gateway", "alerts", "alarm"])
     def test_help_exits_zero(self, cmd, capsys):
         assert main([cmd, "--help"]) == 0
         assert "--" in capsys.readouterr().out or cmd == "alarm"
@@ -123,6 +131,35 @@ class TestServices:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot load model")
 
+    def test_alerts_refuses_non_utf8_class_name(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(alerts.AlertService, "run", lambda service:
+                            pytest.fail("service started on the model"))
+        model = tmp_path / "names.bagm"
+        model.write_bytes(non_utf8_class_model_blob())
+        assert main(["alerts", "--store", "http://127.0.0.1:9",
+                     "--model", str(model), "--log", str(tmp_path / "n.jsonl"),
+                     "--cursor", str(tmp_path / "cursor.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load model")
+
+    def test_alerts_flags_reach_the_rules(self, model_file, tmp_path,
+                                          monkeypatch):
+        started = []
+        monkeypatch.setattr(alerts.AlertService, "run",
+                            lambda service: started.append(service))
+        base = ["alerts", "--store", "http://127.0.0.1:9",
+                "--model", model_file, "--log", str(tmp_path / "n.jsonl"),
+                "--cursor", str(tmp_path / "cursor.json")]
+        assert main(base + ["--mq2-max", "50"]) == 0
+        assert main(base + ["--mq135-max", "75.5", "--dedup-window", "0",
+                            "--interval", "200"]) == 0
+        first, second = (service.config for service in started)
+        assert first.rules == alerts.AlertRuleSet(mq2_max=50.0)
+        assert second.rules == alerts.AlertRuleSet(mq135_max=75.5,
+                                                   dedup_window_ms=0)
+        assert second.poll_interval_ms == 200
+
     def test_alarm_against_live_store(self, capsys):
         server = StoreServer(Store()).start()
         try:
@@ -145,43 +182,33 @@ class TestServices:
         assert "http(s) URL" in capsys.readouterr().err
 
 
-NO_CONFIG = object()  # run `alerts` without --config: values from flags
-
-
-@pytest.mark.parametrize("argv, config, code", [
-    (["train", "--epochs", "0"], None, 2),
-    (["train", "--split", "1.5"], None, 2),
-    (["train", "--split", "0.001"], None, 2),  # no training rows
-    (["gateway", "--period", "0"], None, 2),
-    (["gateway", "--buffer", "0"], None, 2),
-    (["alerts"], None, 1),  # the config file is missing
-    (["alerts"], "mq2_max=abc\n", 1),
-    (["alerts"], "dedup_window_ms=-5\n", 1),
-    (["alerts"], "poll_interval_ms=0\n", 1),
-    (["alerts", "--interval", "-1"], NO_CONFIG, 2),
-    (["alerts", "--interval", "0"], NO_CONFIG, 2),
-    (["replay", "--speed", "0"], None, 2),
-    (["replay", "--speed", "nan"], None, 2),
-    (["replay", "--speed", "-1"], None, 2),  # would reverse the schedule
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--epochs", "0"], 2),
+    (["train", "--split", "1.5"], 2),
+    (["train", "--split", "0.001"], 2),  # no training rows
+    (["gateway", "--period", "0"], 2),
+    (["gateway", "--buffer", "0"], 2),
+    (["alerts", "--mq2-max", "0"], 2),
+    (["alerts", "--mq135-max", "-1"], 2),
+    (["alerts", "--dedup-window", "-5"], 2),
+    (["alerts", "--interval", "-1"], 2),
+    (["alerts", "--interval", "0"], 2),
+    (["gateway", "--trace", "T", "--speed", "0"], 2),
+    (["gateway", "--trace", "T", "--speed", "nan"], 2),
+    # a negative speed would reverse the schedule
+    (["gateway", "--trace", "T", "--speed", "-1"], 2),
 ], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
-        "config-missing", "mq2_max-abc", "dedup_window_ms-neg",
-        "poll_interval_ms-0", "interval-neg", "interval-0", "speed-0",
-        "speed-nan", "speed-neg"])
-def test_bad_values_exit_cleanly(argv, config, code, data_csv, tmp_path,
-                                 capsys):
-    conf = tmp_path / "alerts.conf"
+        "mq2_max-0", "mq135_max-neg", "dedup_window_ms-neg", "interval-neg",
+        "interval-0", "speed-0", "speed-nan", "speed-neg"])
+def test_bad_values_exit_cleanly(argv, code, data_csv, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("")
-    argv = argv + {
+    argv = [str(trace) if arg == "T" else arg for arg in argv] + {
         "train": ["--data", data_csv, "--out", str(tmp_path / "m.bagm")],
         "gateway": ["--store", "http://127.0.0.1:9"],
-        "replay": ["--store", "http://127.0.0.1:9", "--trace", str(trace)],
         "alerts": ["--store", "http://127.0.0.1:9",
-                   "--model", str(tmp_path / "m.bagm")]
-        + ([] if config is NO_CONFIG else ["--config", str(conf)]),
+                   "--model", str(tmp_path / "m.bagm")],
     }[argv[0]]
-    if isinstance(config, str):
-        conf.write_text(config)
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

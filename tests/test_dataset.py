@@ -59,10 +59,12 @@ class TestCsv:
 
     def test_file_round_trip(self, tmp_path):
         data = generate(default_profiles(), 20, seed=4)
-        path = tmp_path / "d.csv"
-        save_csv(data, str(path))
-        loaded = load_csv(str(path))
-        assert np.array_equal(loaded.features, data.features)
+        # a path given as text and as a pathlib.Path
+        for path in (str(tmp_path / "s.csv"), tmp_path / "d.csv"):
+            save_csv(data, path)
+            loaded = load_csv(path)
+            assert np.array_equal(loaded.features, data.features)
+            assert np.array_equal(loaded.labels, data.labels)
 
 
 class TestSplit:

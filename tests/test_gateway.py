@@ -273,9 +273,29 @@ class TestPushLoop:
 
     def test_run_stops_when_trace_exhausted(self, flaky_store):
         gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))
-        gw.run(stop_when_exhausted=True)
+        gw.run()
         assert gw.pushed_history >= 1
         assert gw.source.exhausted
+
+    def test_run_on_exhausted_trace_waits_for_the_store(self, flaky_store):
+        # frames at 0, 1 and 2 s; the ticks at 0 and 2 s read all three
+        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))
+        flaky_store.down = True
+        sleeps = []
+
+        def sleep_ms(ms):
+            sleeps.append(ms)
+            assert len(sleeps) < 20, "run did not return"
+            clock.advance(ms)
+            flaky_store.down = len(sleeps) < 5
+
+        clock.sleep_ms = sleep_ms
+        gw.run()
+        # the source ran out at the second tick; the next three found the
+        # store down, and the sixth drained the buffer
+        assert sleeps == [2000] * 5
+        assert history_seqs(flaky_store) == [0, 2]
+        assert not gw.buffer and gw.dropped == 0
 
 
 class TestAlarmAck:

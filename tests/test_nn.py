@@ -59,6 +59,15 @@ def zero_layer_model_blob() -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def non_utf8_class_model_blob() -> bytes:
+    """A BAGM1 stream with a valid CRC and a full payload for layer sizes
+    (1, 1, 2) whose first class name, b"\\xff", is not UTF-8."""
+    body = b"BAGM" + struct.pack("<BB3IB", 1, 3, 1, 1, 2, 2) + b"\x01\xff\x01B"
+    # normalizer mean and stddev, the 1x1 layer, the 1x2 layer
+    body += struct.pack("<8f", 0, 1, 0, 0, 0, 0, 0, 0)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def assert_bits_equal(actual, expected):
     """Same dtype, shape and bytes: stricter than array_equal, which treats
     -0.0 and 0.0 as equal."""
@@ -584,6 +593,10 @@ class TestModelFile:
     def test_zero_layer_size(self):
         with pytest.raises(nn.ShapeMismatch, match="positive"):
             nn.import_model(zero_layer_model_blob())
+
+    def test_non_utf8_class_name(self):
+        with pytest.raises(nn.BadClassName, match="UTF-8"):
+            nn.import_model(non_utf8_class_model_blob())
 
     def test_corrupted_payload_detected(self):
         blob = bytearray(nn.export_model(*self.trained()))
