@@ -129,12 +129,14 @@ def cmd_gateway(args) -> int:
     except ValueError as e:  # a bad --speed
         raise UsageError(f"--speed: {e}")
     sinks = [alerts.NotificationLog(args.events)] if args.events else []
-    gw = Gateway(source, _http(HttpStoreClient, args.store), config,
-                 clock=clock, sinks=sinks)
+    client = _http(HttpStoreClient, args.store)
+    gw = Gateway(source, client, config, clock=clock, sinks=sinks)
     try:
         gw.run()
     except KeyboardInterrupt:
         gw.flush()
+    finally:
+        client.close()
     print(f"pushed {gw.pushed_history} records "
           f"({gw.dropped} dropped, {source.malformed} malformed)")
     return 0
@@ -149,20 +151,25 @@ def cmd_alerts(args) -> int:
             device_id=args.device, poll_interval_ms=args.interval, rules=rules)
     except ValueError as e:
         raise UsageError(str(e))
+    client = _http(HttpStoreClient, args.store)
     sinks = [alerts.NotificationLog(args.log)]
-    if args.webhook:
-        sinks.append(_http(alerts.WebhookSink, args.webhook))
     try:
-        service = alerts.AlertService(
-            _http(HttpStoreClient, args.store), args.model, config,
-            cursor_path=args.cursor, sinks=sinks)
-    except (OSError, nn.ModelFormatError) as e:
-        raise OperationalError(f"cannot load model {args.model}: {e}")
-    print(f"alert service polling {args.store} for device {args.device}")
-    try:
-        service.run()
-    except KeyboardInterrupt:
-        pass
+        if args.webhook:
+            sinks.append(_http(alerts.WebhookSink, args.webhook))
+        try:
+            service = alerts.AlertService(client, args.model, config,
+                                          cursor_path=args.cursor, sinks=sinks)
+        except (OSError, nn.ModelFormatError) as e:
+            raise OperationalError(f"cannot load model {args.model}: {e}")
+        print(f"alert service polling {args.store} for device {args.device}")
+        try:
+            service.run()
+        except KeyboardInterrupt:
+            pass
+    finally:
+        client.close()
+        for sink in sinks[1:]:  # the webhook's connection
+            sink.http.close()
     return 0
 
 

@@ -4,18 +4,20 @@ Forward pass, per-unit binary cross-entropy cost with optional L2 penalty,
 exact backpropagation, Adam updates, a deterministic mini-batch training
 loop, and a compact binary model file ("BAGM1") for deployment.
 
-`train` keeps every parameter in one flat float64 array: all weights in
-layer order, then all biases in layer order, each weight matrix row-major.
-The weights and biases of the model it builds are views into that array,
-and the gradients live in a second flat array laid out the same way, so
-`_backward_into` writes into them and `_adam_update` updates the whole array
-in place. Adam's decay rates and denominator guard are the fixed constants
-`ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPSILON`. Passes that take no gradient
-(the epoch loss, `evaluate`, `predict`) keep one layer's activations at a
-time, not all of them, and share `forward`'s per-layer step; `train`'s loss
-pass writes them into two buffers it allocates once. A speed-up of this
-module must keep every floating-point operation and its order, so that
-exported models stay byte-identical for the same seed.
+The parameters have one flat layout, the BAGM1 payload order: layer by
+layer, the weights row-major, then the biases; only `_param_views` knows
+where a parameter lives in it. `train` keeps the parameters, their
+gradients and Adam's moments in flat float64 arrays laid out this way: the
+model's weights and biases are views of one, `_backward_into` writes into
+views of another, and `_adam_update` updates them elementwise in place.
+`export_model` writes the same order as one float32 block, and
+`import_model` views the block it reads. Adam's decay rates and denominator
+guard are the fixed constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPSILON`.
+Passes that take no gradient (the epoch loss, `evaluate`, `predict`) run
+`forward_output`, which keeps one layer's activations at a time; `train`'s
+loss pass hands it two buffers allocated once. A speed-up of this module
+must keep every floating-point operation and its order, so that exported
+models stay byte-identical for the same seed.
 
 At import the module sets the OpenBLAS that numpy has loaded to one thread,
 whatever the environment says: the default network's widest layer is 60
@@ -270,17 +272,13 @@ def forward(params: ModelParams, x):
     return activations
 
 
-def forward_output(params: ModelParams, x):
+def forward_output(params: ModelParams, x, scratch=None):
     """`forward(params, x)[-1]`, the same bits, without keeping every
-    layer's activations; for passes that take no gradient."""
-    return _output(params, _input(params, x))
-
-
-def _output(params: ModelParams, a, scratch=None):
-    """`forward_output` of a checked input. Given `scratch`, two flat
-    arrays large enough for every even-numbered and every odd-numbered
-    layer of the (batch, width) input a, layer l goes into scratch[l % 2]
-    instead of a fresh array."""
+    layer's activations; for passes that take no gradient. Given `scratch`,
+    two flat arrays large enough for every even-numbered and every
+    odd-numbered layer of the (batch, width) input x, layer l goes into
+    scratch[l % 2] instead of a fresh array."""
+    a = _input(params, x)
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         out = None
@@ -289,12 +287,6 @@ def _output(params: ModelParams, a, scratch=None):
             out = scratch[l % 2][:shape[0] * shape[1]].reshape(shape)
         a = _layer(a, w, b, l == last, out)
     return a
-
-
-def _one_hot(labels, k: int):
-    y = np.zeros((len(labels), k))
-    y[np.arange(len(labels)), labels] = 1.0
-    return y
 
 
 def _loss(params: ModelParams, probs, y, lam: float) -> float:
@@ -317,17 +309,22 @@ def _loss(params: ModelParams, probs, y, lam: float) -> float:
 
 
 def _param_views(flat, sizes):
-    """Weights, then biases, of a network with these layer sizes, as views
-    into the flat array that holds them end to end."""
+    """The weights and the biases of a network with these layer sizes, as
+    views into the flat array that holds them in BAGM1 payload order: layer
+    by layer, the weights row-major, then the biases."""
     weights, biases, start = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[start:start + fan_out * fan_in]
-                       .reshape(fan_out, fan_in))
-        start += fan_out * fan_in
-    for fan_out in sizes[1:]:
-        biases.append(flat[start:start + fan_out])
-        start += fan_out
+        end = start + fan_out * fan_in
+        weights.append(flat[start:end].reshape(fan_out, fan_in))
+        biases.append(flat[end:end + fan_out])
+        start = end + fan_out
     return weights, biases
+
+
+def _flat_params(params: ModelParams) -> list:
+    """Each parameter array flattened, in `_param_views` order."""
+    return [a.ravel() for layer in zip(params.weights, params.biases)
+            for a in layer]
 
 
 def _backward_into(params: ModelParams, x, y, lam: float, grad_w, grad_b):
@@ -391,11 +388,11 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
 
     norm = fit_normalizer(train_set)
     x_all = norm.apply(train_set.features)
-    y_all = _one_hot(train_set.labels, spec.output_width)
+    y_all = np.eye(spec.output_width)[train_set.labels]
 
     rng = np.random.default_rng(hyper.seed)
     params = init_params(spec, rng, normalizer=norm)
-    flat = np.concatenate([a.ravel() for a in params.weights + params.biases])
+    flat = np.concatenate(_flat_params(params))
     params.weights, params.biases = _param_views(flat, spec.layer_sizes)
     flat_grads = np.empty_like(flat)
     grad_w, grad_b = _param_views(flat_grads, spec.layer_sizes)
@@ -414,7 +411,7 @@ def train(train_set: Dataset, spec: ModelSpec, hyper: Hyperparams,
             _backward_into(params, x_all[idx], y_all[idx], hyper.lam,
                            grad_w, grad_b)
             _adam_update(flat, flat_grads, state, hyper.learning_rate)
-        probs = _output(params, x_all, scratch)
+        probs = forward_output(params, x_all, scratch)
         epoch_losses.append(_loss(params, probs, y_all, hyper.lam))
 
     # the last epoch's outputs are those evaluate would compute again
@@ -454,10 +451,6 @@ def _score(preds, labels, k: int):
     return float(np.trace(confusion)) / len(labels), confusion
 
 
-def _f32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
-
-
 def export_model(params: ModelParams, spec: ModelSpec, vocabulary) -> bytes:
     """Serialize to the BAGM1 binary format (f32 payload, CRC32 trailer)."""
     sizes = spec.layer_sizes
@@ -474,11 +467,8 @@ def export_model(params: ModelParams, spec: ModelSpec, vocabulary) -> bytes:
     for name in names:
         raw = name.encode("utf-8")
         out += struct.pack("<B", len(raw)) + raw
-    out += _f32_bytes(params.normalizer.mean)
-    out += _f32_bytes(params.normalizer.std)
-    for w, b in zip(params.weights, params.biases):
-        out += _f32_bytes(w)
-        out += _f32_bytes(b)
+    payload = [params.normalizer.mean, params.normalizer.std]
+    out += np.concatenate(payload + _flat_params(params)).astype("<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     return bytes(out)
 
@@ -533,12 +523,10 @@ def import_model(data: bytes):
     std = np.frombuffer(r.take(4 * width), dtype="<f4").astype(float)
     if np.any(std <= 0):
         raise ShapeMismatch("normalizer stddev must be positive")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(r.take(4 * fan_in * fan_out), dtype="<f4")
-        weights.append(w.astype(float).reshape(fan_out, fan_in))
-        biases.append(np.frombuffer(r.take(4 * fan_out), dtype="<f4").astype(float))
+    count = sum(fan_out * (fan_in + 1)
+                for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    flat = np.frombuffer(r.take(4 * count), dtype="<f4").astype(float)
     if r.pos != len(r.data):
         raise ShapeMismatch(f"{len(r.data) - r.pos} trailing bytes")
-    params = ModelParams(weights, biases, Normalizer(mean, std))
+    params = ModelParams(*_param_views(flat, sizes), Normalizer(mean, std))
     return params, ModelSpec(sizes), tuple(names)

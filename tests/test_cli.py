@@ -1,3 +1,4 @@
+import gc
 import socket
 import textwrap
 
@@ -5,9 +6,10 @@ import pytest
 
 from smartbag import alerts, nn
 from smartbag.cli import main
-from smartbag.store import Store, StoreServer, StoreUnavailable
+from smartbag.store import HttpStoreClient, Store, StoreServer, StoreUnavailable
 
 from conftest import run_python
+from test_gateway import trace_lines
 from test_nn import non_utf8_class_model_blob, zero_layer_model_blob
 
 
@@ -159,6 +161,52 @@ class TestServices:
         assert second.rules == alerts.AlertRuleSet(mq135_max=75.5,
                                                    dedup_window_ms=0)
         assert second.poll_interval_ms == 200
+
+    def test_gateway_closes_its_store_client(self, tmp_path):
+        # an unclosed socket warns when collected, and the suite turns that
+        # warning into a failure of this test
+        trace = tmp_path / "trace.txt"
+        trace.write_bytes(b"".join(trace_lines(3)))
+        server = StoreServer(Store()).start()
+        try:
+            assert main(["gateway", "--trace", str(trace), "--store",
+                         server.base_url, "--period", "10",
+                         "--speed", "1000"]) == 0
+            gc.collect()
+            assert len(server.store.get_history("bags/BAG1/history")) >= 1
+        finally:
+            server.stop()
+
+    def test_alerts_closes_its_store_and_webhook_connections(
+            self, model_file, tmp_path, monkeypatch):
+        def run(service):  # one request on each connection, then return
+            service.store.get("bags/BAG1/latest")
+            service.sinks[1].http.request("POST", doc={"kind": "TEST"})
+
+        monkeypatch.setattr(alerts.AlertService, "run", run)
+        server = StoreServer(Store()).start()
+        try:
+            assert main(["alerts", "--store", server.base_url,
+                         "--model", model_file,
+                         "--webhook", server.base_url + "/hook.json",
+                         "--log", str(tmp_path / "n.jsonl"),
+                         "--cursor", str(tmp_path / "cursor.json")]) == 0
+            gc.collect()
+            assert len(server.store.get_history("hook")) == 1
+        finally:
+            server.stop()
+
+    def test_alerts_closes_its_store_client_when_the_model_fails(
+            self, narrow_model_file, tmp_path, monkeypatch):
+        closed = []
+        close = HttpStoreClient.close
+        monkeypatch.setattr(HttpStoreClient, "close",
+                            lambda client: closed.append(client) or close(client))
+        assert main(["alerts", "--store", "http://127.0.0.1:9",
+                     "--model", narrow_model_file,
+                     "--log", str(tmp_path / "n.jsonl"),
+                     "--cursor", str(tmp_path / "cursor.json")]) == 1
+        assert len(closed) == 1
 
     def test_alarm_against_live_store(self, capsys):
         server = StoreServer(Store()).start()

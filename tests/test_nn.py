@@ -68,6 +68,53 @@ def non_utf8_class_model_blob() -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def bagm1_body(sizes, names, mean, std, layers) -> bytes:
+    """A BAGM1 stream without its CRC32 trailer, encoded here from the
+    documented layout: magic, version, layer count, layer sizes, class count
+    and length-prefixed names, the normalizer's mean and stddev, then for
+    each layer its weights row-major and its biases, all float32."""
+    body = b"BAGM" + struct.pack(f"<BB{len(sizes)}IB", 1, len(sizes), *sizes,
+                                 len(names))
+    for name in names:
+        body += struct.pack("<B", len(name.encode())) + name.encode()
+    for a in [mean, std] + [a for layer in layers for a in layer]:
+        body += np.asarray(a, dtype="<f4").tobytes(order="C")
+    return body
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def decode_bagm1(blob: bytes):
+    """Split a BAGM1 stream by the documented layout, without smartbag's
+    reader: (sizes, names, mean, std, [(weights, biases) per layer]),
+    arrays as float32."""
+    assert blob[:4] == b"BAGM" and blob[4] == 1
+    n = blob[5]
+    sizes = struct.unpack_from(f"<{n}I", blob, 6)
+    pos = 6 + 4 * n
+    names = []
+    for _ in range(blob[pos]):
+        length = blob[pos + 1]
+        names.append(blob[pos + 2:pos + 2 + length].decode())
+        pos += 1 + length
+    pos += 1
+
+    def floats(*shape):
+        nonlocal pos
+        count = math.prod(shape)
+        a = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
+        pos += 4 * count
+        return a.reshape(shape)
+
+    mean, std = floats(sizes[0]), floats(sizes[0])
+    layers = [(floats(o, i), floats(o)) for i, o in zip(sizes[:-1], sizes[1:])]
+    assert pos == len(blob) - 4
+    assert struct.unpack_from("<I", blob, pos)[0] == zlib.crc32(blob[:pos])
+    return sizes, names, mean, std, layers
+
+
 def assert_bits_equal(actual, expected):
     """Same dtype, shape and bytes: stricter than array_equal, which treats
     -0.0 and 0.0 as equal."""
@@ -597,6 +644,58 @@ class TestModelFile:
     def test_non_utf8_class_name(self):
         with pytest.raises(nn.BadClassName, match="UTF-8"):
             nn.import_model(non_utf8_class_model_blob())
+
+    def layout_model(self):
+        """Params of layer sizes (3, 4, 2), every value distinct and exact
+        in float32, with their spec and vocabulary."""
+        sizes = (3, 4, 2)
+        values = iter(np.arange(1, 100, dtype=float) / 8)
+        weights = [np.array([[next(values) for _ in range(i)]
+                             for _ in range(o)])
+                   for i, o in zip(sizes[:-1], sizes[1:])]
+        biases = [np.array([next(values) for _ in range(o)])
+                  for o in sizes[1:]]
+        norm = Normalizer(np.array([-1.5, 0.0, 2.25]),
+                          np.array([0.5, 1.0, 4.0]))
+        return (nn.ModelParams(weights, biases, norm), nn.ModelSpec(sizes),
+                ("A", "Bb"))
+
+    def test_export_writes_the_documented_payload_order(self):
+        model, spec, vocab = self.layout_model()
+        blob = nn.export_model(model, spec, vocab)
+        sizes, names, mean, std, layers = decode_bagm1(blob)
+        assert sizes == spec.layer_sizes and names == list(vocab)
+        assert_bits_equal(mean, model.normalizer.mean.astype("<f4"))
+        assert_bits_equal(std, model.normalizer.std.astype("<f4"))
+        for (w, b), want_w, want_b in zip(layers, model.weights, model.biases):
+            assert_bits_equal(w, want_w.astype("<f4"))
+            assert_bits_equal(b, want_b.astype("<f4"))
+        assert blob == with_crc(bagm1_body(
+            sizes, vocab, model.normalizer.mean, model.normalizer.std,
+            zip(model.weights, model.biases)))
+
+    def test_import_reads_the_documented_payload_order(self):
+        model, spec, vocab = self.layout_model()
+        blob = with_crc(bagm1_body(
+            spec.layer_sizes, vocab, model.normalizer.mean,
+            model.normalizer.std, zip(model.weights, model.biases)))
+        got, got_spec, got_vocab = nn.import_model(blob)
+        assert got_spec == spec and got_vocab == vocab
+        assert_bits_equal(got.normalizer.mean, model.normalizer.mean)
+        assert_bits_equal(got.normalizer.std, model.normalizer.std)
+        for got_a, want_a in zip(got.weights + got.biases,
+                                 model.weights + model.biases):
+            assert_bits_equal(got_a, want_a)
+
+    def test_payload_one_float_short(self):
+        body = nn.export_model(*self.layout_model())[:-4]
+        with pytest.raises(nn.TruncatedStream):
+            nn.import_model(with_crc(body[:-4]))
+
+    def test_payload_one_float_too_long(self):
+        body = nn.export_model(*self.layout_model())[:-4]
+        with pytest.raises(nn.ShapeMismatch, match="trailing bytes"):
+            nn.import_model(with_crc(body + struct.pack("<f", 1.0)))
 
     def test_corrupted_payload_detected(self):
         blob = bytearray(nn.export_model(*self.trained()))
