@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .clock import RealClock
 from .dataset import FEATURE_NAMES
-from .frames import RECORD_PATHS
+from .frames import RECORD_PATHS, check_device_id
 from .store import JsonConnection, StoreUnavailable
 
 logger = logging.getLogger(__name__)
@@ -194,6 +194,7 @@ class AlertServiceConfig:
     rules: AlertRuleSet = field(default_factory=AlertRuleSet)
 
     def __post_init__(self):
+        check_device_id(self.device_id)
         if self.poll_interval_ms <= 0:
             raise ValueError("poll_interval_ms must be > 0")
 

@@ -174,6 +174,10 @@ def cmd_alerts(args) -> int:
 
 
 def cmd_alarm(args) -> int:
+    try:
+        frames.check_device_id(args.device)
+    except ValueError as e:
+        raise UsageError(str(e))
     client = _http(HttpStoreClient, args.store)
     try:
         _, raised = alerts.request_alarm(client, args.device,

@@ -25,7 +25,7 @@ from .dataset import FEATURE_NAMES, ClassProfile
 
 FRAME_TAG = "BAG"
 
-_DEVICE_RE = re.compile(r"^[A-Za-z0-9]{1,16}$")
+_DEVICE_RE = re.compile(r"[A-Za-z0-9]{1,16}")
 
 
 class FrameError(Exception):
@@ -82,7 +82,7 @@ class SensorFrame:
     sos: int = 0
 
     def validate(self) -> None:
-        if not _DEVICE_RE.match(self.device_id):
+        if not _DEVICE_RE.fullmatch(self.device_id):
             raise RangeViolation("device_id", "device_id must be alnum, <=16 chars")
         for name in ("seq", "ts"):
             v = getattr(self, name)
@@ -124,6 +124,13 @@ _FLOAT_FIELDS = tuple(name for name in RECORD_PATHS if name not in _INT_FIELDS)
 _FIELD_ORDER = ("device_id", "seq", "ts") + tuple(RECORD_PATHS)
 
 PAYLOAD_FIELDS = 1 + len(_FIELD_ORDER)  # the tag, then the fields
+
+
+def check_device_id(device_id: str) -> None:
+    """Raise ValueError unless `device_id` is one a frame may carry."""
+    if not _DEVICE_RE.fullmatch(device_id):
+        raise ValueError(f"device id {device_id!r} is not 1-16 ASCII letters "
+                         "or digits")
 
 
 def checksum(payload: bytes) -> str:

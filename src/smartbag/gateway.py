@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .alerts import SEVERITY, AlertEvent
 from .clock import RealClock
-from .frames import to_record
+from .frames import check_device_id, to_record
 # perfbench/pipeline.py imports HttpStoreClient from this module
 from .store import HttpStoreClient, StoreUnavailable  # noqa: F401
 
@@ -33,6 +33,7 @@ class GatewayConfig:
     buffer_capacity: int = 1024
 
     def __post_init__(self):
+        check_device_id(self.device_id)
         if self.period_ms <= 0:
             raise ValueError("period_ms must be > 0")
         if self.buffer_capacity < 1:

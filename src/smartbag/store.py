@@ -9,11 +9,11 @@ recovery holds one record in memory beyond the state it rebuilds, and a
 garbage length prefix longer than the rest of the file ends the valid
 prefix instead of being read.
 
-A `Store` keeps each history entry as its push id, its server timestamp
-and the JSON text of its document, exactly as the log record holds it, so
-that writes and replay keep the same text. For the gateway's telemetry
-record, with about 30 keys, an entry holds about 0.76 KB, against 2.2 KB as
-a tree of dicts and floats.
+A history entry, `HistoryEntry(push_id, text, server_ts)`, holds the JSON
+text of its document as the log record holds it, so writes and replay keep
+the same text; from either client, its `doc` decodes a new copy on every
+access. A gateway record of about 30 keys takes 0.76 KB so, against 2.2 KB
+as a tree of dicts and floats.
 
 Services talk to a store through four client methods, which `Store` and
 `HttpStoreClient` both implement with the same signatures: `patch(path,
@@ -32,12 +32,12 @@ does, so a tuple is kept as a list and an int key as a string. A refused
 write is undone: a document JSON cannot hold, or one that nests objects and
 arrays deeper than MAX_DOC_DEPTH (64) levels, raises BadDocument, and a
 failed log append is cut from the log and raises StoreUnavailable. A closed
-store with a log refuses every write with StoreUnavailable. `patch`, `get`
-and `get_history` return copies: `get_history` decodes the page it returns
-on every call, so changing an entry's `doc` changes nothing in the store.
-Replay skips a record whose document nests deeper than MAX_DOC_DEPTH, which
-only a log written before that bound can hold, with a warning that gives
-its offset; the records after it replay as usual.
+store with a log refuses every write with StoreUnavailable. `patch` and
+`get` return copies and `get_history` the store's immutable entries, so
+changing a document read changes nothing in the store. Replay skips a
+record whose document nests deeper than MAX_DOC_DEPTH, which only a log
+written before that bound can hold, with a warning that gives its offset;
+the records after it replay as usual.
 
 Transport: `HttpStoreClient` (and the alert webhook) sends each request
 through a `JsonConnection`, one kept-alive HTTP/1.1 connection per client
@@ -60,9 +60,10 @@ HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
     GET   /bags/{id}/history.json?since=<pushId>&limit=<n>
 
 A GET is a history read exactly when it carries `since` or `limit`; any
-other GET reads the document. A history read always answers with a list,
-empty for a path with no history. `since=` (empty) reads from the start,
-since the empty string sorts before every push id.
+other GET reads the document. A history read answers with a compact JSON
+list of `{"id","ts","doc"}` objects, each `doc` an entry's logged text as
+it is, empty for a path with no history. `since=` (empty) reads from the
+start, since the empty string sorts before every push id.
 
 The server answers 200 with the result; 404 to a GET of a document never
 written; 413 to a body over MAX_BODY_BYTES; 503 when the store cannot log a
@@ -110,6 +111,8 @@ MAX_DOC_DEPTH = 64
 # only an op name and path segments, so the first match is the key
 _DOC_KEY = re.compile(r'"doc"[ \t\n\r]*:[ \t\n\r]*')
 _raw_decode = json.JSONDecoder().raw_decode
+# what the store logs and what a history reply holds
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _parse_record(payload: str) -> tuple:
@@ -178,15 +181,8 @@ def merge_docs(base, patch):
 
 @dataclass(frozen=True, slots=True)
 class HistoryEntry:
-    push_id: str
-    doc: dict
-    server_ts: int
-
-
-@dataclass(frozen=True, slots=True)
-class StoredEntry:
-    """A history entry as a `Store` keeps it: `text` is the JSON of its
-    document exactly as the log record holds it."""
+    """A history entry: `text` is the JSON of its document exactly as the
+    log record holds it."""
     push_id: str
     text: str
     server_ts: int
@@ -238,7 +234,7 @@ class Store:
         write is cut from the log, and if that fails too, every later write
         is refused until a restart."""
         try:
-            payload = json.dumps(record, separators=(",", ":"))
+            payload = _compact_json(record)
             record, text = _parse_record(payload)
         except RecursionError:  # nested past the encoder's limit
             raise BadDocument(f"document over {MAX_DOC_DEPTH} levels deep") from None
@@ -300,7 +296,7 @@ class Store:
         if record["op"] == "patch":
             self.docs[path] = merge_docs(self.docs.get(path, {}), record["doc"])
         elif record["op"] == "append":
-            entry = StoredEntry(record["id"], text, record["ts"])
+            entry = HistoryEntry(record["id"], text, record["ts"])
             self.history.setdefault(path, []).append(entry)
             self._last_id = max(self._last_id, int(record["id"]))
             if "latest" in record:  # absent from logs written before it
@@ -353,12 +349,9 @@ class Store:
 
     def get_history(self, path: str, since: str | None = None,
                     limit: int | None = None) -> list:
-        """Entries after `since` (exclusive), oldest first, capped at limit.
-
-        Push ids within a history only grow, so the first entry after
-        `since` is found by bisection and only the returned page is decoded,
-        into new documents on every call.
-        """
+        """The store's own (immutable) entries after `since` (exclusive),
+        oldest first, capped at limit; none is decoded. Push ids within a
+        history only grow, so the first is found by bisection."""
         segments = parse_path(path)
         if limit is not None and limit < 0:
             raise ValueError("limit must be >= 0")
@@ -367,8 +360,7 @@ class Store:
             start = 0 if since is None else bisect.bisect_right(
                 entries, since, key=_push_id)
             end = len(entries) if limit is None else start + limit
-            page = entries[start:end]
-        return [HistoryEntry(e.push_id, e.doc, e.server_ts) for e in page]
+            return entries[start:end]
 
     # no product caller: perfbench/pipeline.py probes it by name, so it goes
     # with that workload's next change (ROADMAP.md, item 1)
@@ -404,7 +396,8 @@ class _Handler:
         logger.debug("http: " + fmt, *args)
 
     def _reply(self, code: int, body, close: bool = False) -> None:
-        data = json.dumps(body).encode("utf-8")
+        # a history page comes as bytes, encoded already
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(code)
         if close:
             self.send_header("Connection", "close")  # also ends handle()
@@ -483,9 +476,13 @@ class _Handler:
             path, query = self._path()
             if "since" in query or "limit" in query:
                 limit = int(query["limit"]) if "limit" in query else None
-                return [{"id": e.push_id, "ts": e.server_ts, "doc": e.doc}
-                        for e in self.store.get_history(
-                            path, since=query.get("since"), limit=limit)]
+                page = self.store.get_history(path, since=query.get("since"),
+                                              limit=limit)
+                # each entry's logged text goes into the reply as it is
+                return ("[" + ",".join(
+                    f'{{"id":{_compact_json(e.push_id)},'
+                    f'"ts":{_compact_json(e.server_ts)},"doc":{e.text}}}'
+                    for e in page) + "]").encode("utf-8")
             doc = self.store.get(path)
             if doc is None:
                 raise _Refused(404, "not found")
@@ -583,7 +580,8 @@ class HttpStoreClient:
         query = {"since": since or ""}
         if limit is not None:
             query["limit"] = limit
-        return [HistoryEntry(e["id"], e["doc"], e["ts"])
+        # the reply is decoded whole, so each document is encoded again
+        return [HistoryEntry(e["id"], _compact_json(e["doc"]), e["ts"])
                 for e in self._request("GET", path, query=query)]
 
     def close(self) -> None:

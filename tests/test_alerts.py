@@ -162,9 +162,10 @@ class TestEvalRules:
 
 
 @pytest.mark.parametrize("config_kw", [
-    {"poll_interval_ms": 0}, {"poll_interval_ms": -1}])
+    {"poll_interval_ms": 0}, {"poll_interval_ms": -1}, {"device_id": "a b"}])
 def test_service_config_rejects_bad_values(config_kw):
-    # a poll interval <= 0 would busy-poll or crash the clock's sleep
+    # a poll interval <= 0 would busy-poll or crash the clock's sleep, and a
+    # device id with a space names no store path
     with pytest.raises(ValueError):
         AlertServiceConfig(**config_kw)
 

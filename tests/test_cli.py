@@ -245,9 +245,14 @@ class TestServices:
     (["gateway", "--trace", "T", "--speed", "nan"], 2),
     # a negative speed would reverse the schedule
     (["gateway", "--trace", "T", "--speed", "-1"], 2),
+    # a device id that no frame can carry and no store path can name
+    (["gateway", "--trace", "T", "--device", "a b"], 2),
+    (["alerts", "--device", "a b"], 2),
+    (["alarm", "a b"], 2),
 ], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
         "mq2_max-0", "mq135_max-neg", "dedup_window_ms-neg", "interval-neg",
-        "interval-0", "speed-0", "speed-nan", "speed-neg"])
+        "interval-0", "speed-0", "speed-nan", "speed-neg", "gateway-device",
+        "alerts-device", "alarm-device"])
 def test_bad_values_exit_cleanly(argv, code, data_csv, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("")
@@ -256,6 +261,7 @@ def test_bad_values_exit_cleanly(argv, code, data_csv, tmp_path, capsys):
         "gateway": ["--store", "http://127.0.0.1:9"],
         "alerts": ["--store", "http://127.0.0.1:9",
                    "--model", str(tmp_path / "m.bagm")],
+        "alarm": ["--store", "http://127.0.0.1:9"],
     }[argv[0]]
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()

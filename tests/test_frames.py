@@ -80,6 +80,9 @@ class TestEncode:
             encode_frame(SensorFrame(lat=91.0))
         with pytest.raises(FrameError):
             encode_frame(SensorFrame(device_id="not valid!"))
+        # a trailing newline would end the frame's line early
+        with pytest.raises(FrameError):
+            encode_frame(SensorFrame(device_id="BAG1\n"))
         with pytest.raises(FrameError):
             encode_frame(SensorFrame(water=2))
 

@@ -492,19 +492,29 @@ class TestDurability:
         assert entry.text == json.dumps(doc, separators=(",", ":"))
         assert entry.doc == json.loads(entry.text)
 
-    def test_history_reads_are_copies(self, tmp_path, open_store):
+    @pytest.mark.parametrize("over_http", [False, True], ids=["store", "http"])
+    def test_history_reads_are_copies(self, tmp_path, open_store, make_client,
+                                      over_http):
         log = tmp_path / "store.wal"
-        store = open_store(log)
-        store.append_history("h/s", {"gps": {"lat": 1.5}, "seq": 1},
-                             latest="p/y")
-        (entry,) = store.get_history("h/s")
-        entry.doc["seq"] = 99
-        entry.doc["gps"]["lat"] = -1.0
-        del entry.doc["gps"]
-        (again,) = store.get_history("h/s")
-        assert again.doc == {"gps": {"lat": 1.5}, "seq": 1}
-        assert again.doc is not entry.doc
-        assert store.get("p/y") == {"gps": {"lat": 1.5}, "seq": 1}
+        store = client = open_store(log)
+        srv = StoreServer(store).start() if over_http else None
+        try:
+            if srv is not None:
+                client = make_client(srv.base_url)
+            client.post("h/s", {"gps": {"lat": 1.5}, "seq": 1}, latest="p/y")
+            (entry,) = client.get_history("h/s")
+            assert entry.doc is not entry.doc
+            doc = entry.doc
+            doc["seq"] = 99
+            doc["gps"]["lat"] = -1.0
+            del doc["gps"]
+            assert entry.doc == {"gps": {"lat": 1.5}, "seq": 1}
+            (again,) = client.get_history("h/s")
+            assert again.doc == {"gps": {"lat": 1.5}, "seq": 1}
+            assert client.get("p/y") == {"gps": {"lat": 1.5}, "seq": 1}
+        finally:
+            if srv is not None:
+                srv.stop()
         assert open_store(log).history == store.history
 
     def test_replay_skips_records_too_deep(self, tmp_path, open_store,
@@ -705,6 +715,28 @@ class TestHttp:
         assert [e["doc"]["n"] for e in after] == [1, 2]
         capped = requests.get(url, params={"limit": "1"}).json()
         assert len(capped) == 1
+
+    def test_history_reply_holds_the_logged_text(self, tmp_path):
+        # an entry replayed from a log written with spaces, and whose id is
+        # any text int() accepts, and one written live
+        log = tmp_path / "store.wal"
+        log.write_bytes(wal([{"op": "append", "path": ["bags", "x", "history"],
+                              "id": " 12\n", "ts": 5,
+                              "doc": {"a": 1, "b": [1.5, {"c": "\u00e9"}]}}]))
+        srv = StoreServer(Store(log_path=str(log))).start()
+        try:
+            url = f"{srv.base_url}/bags/x/history.json"
+            requests.post(url, json={"n": {"x": 1, "y": [2, 3]}, "t": "\u2603"})
+            resp = requests.get(url + "?since=")
+        finally:
+            srv.stop()
+        entries = srv.store.history[("bags", "x", "history")]
+        assert entries[0].text == '{"a": 1, "b": [1.5, {"c": "\\u00e9"}]}'
+        assert resp.status_code == 200
+        for entry in entries:
+            assert entry.text in resp.text
+        assert resp.json() == [{"id": e.push_id, "ts": e.server_ts,
+                                "doc": e.doc} for e in entries]
 
     def test_bare_get_reads_the_document(self, server):
         url = f"{server.base_url}/bags/b1/history.json"
@@ -1239,7 +1271,7 @@ def telemetry(n: int) -> list:
     return [to_record(source.poll(i * 1000)[0], i * 1000) for i in range(n)]
 
 
-class TestSharedKeys:
+class TestHistoryMemory:
     def test_store_memory_per_history_record(self, make_client):
         records = telemetry(2000)
         srv = StoreServer(Store())
