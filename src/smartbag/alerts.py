@@ -5,10 +5,17 @@ record with the cached model file, evaluates the alert rules, writes the
 classified activity back to the stored record, and delivers events to an
 append-only notification log plus an optional webhook. Also issues the
 find-my-bag alarm command.
+
+Both files the service writes go through `files`: the cursor is replaced
+whole after each entry, so a crash leaves the old cursor or the new one;
+the notification log is a `files.AppendLog` of JSON lines, one write per
+event, whose torn last line is cut at the next append and skipped by
+`NotificationLog.read` until then. Neither is fsynced.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -18,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import nn
+from . import files, nn
 from .clock import RealClock
 from .dataset import FEATURE_NAMES
 from .frames import RECORD_PATHS, check_device_id
@@ -144,46 +151,92 @@ def eval_rules(record: dict, activity: str | None, rules: AlertRuleSet,
     return events
 
 
+def _through_last_newline(fh) -> int:
+    """The length of the file open in `fh` up to and including its last
+    newline, found by reading back from the end."""
+    end = fh.seek(0, os.SEEK_END)
+    while end > 0:
+        start = max(end - 4096, 0)
+        fh.seek(start)
+        newline = fh.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        end = start
+    return 0
+
+
 class NotificationLog:
-    """Append-only JSONL sink."""
+    """Append-only JSONL sink: one line per event, each written with one
+    write. The file is opened for each event, not held, and once at
+    construction, so a path that cannot be written fails there."""
 
     def __init__(self, path):
         self.path = path
+        self._open().close()
+
+    def _open(self) -> files.AppendLog:
+        # a line a crash tore is cut here, before the next one is appended
+        return files.AppendLog(self.path, _through_last_newline)
 
     def deliver(self, event: AlertEvent) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event.to_json()) + "\n")
+        with contextlib.closing(self._open()) as log:
+            log.append(json.dumps(event.to_json()).encode("utf-8") + b"\n")
 
     def read(self) -> list:
+        """The events of the complete lines; a torn last line is skipped."""
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                return [json.loads(line) for line in fh if line.strip()]
+            with open(self.path, "rb") as fh:
+                end = _through_last_newline(fh)
+                fh.seek(0)
+                lines = fh.read(end).splitlines()
         except FileNotFoundError:
             return []
+        return [json.loads(line) for line in lines if line.strip()]
 
 
 class WebhookSink:
     """POSTs each event; a failure is logged, not raised. A POST is tried
     again, up to MAX_TRIES in all, only when the hook is unreachable or
-    answers a status in RETRY_STATUSES or 5xx; any other 4xx is final."""
+    answers a status in RETRY_STATUSES or 5xx; any other 4xx is final.
+
+    Before each retry the sink waits on its clock for the reply's
+    `Retry-After` in delta-seconds, or else FIRST_WAIT_MS doubled for each
+    try before, and never longer than MAX_WAIT_MS, so one event holds up a
+    poll by at most (MAX_TRIES - 1) * MAX_WAIT_MS of waiting."""
 
     MAX_TRIES = 3
     RETRY_STATUSES = (408, 429)  # a request timeout, a rate limit
+    FIRST_WAIT_MS = 500
+    MAX_WAIT_MS = 2000
 
-    def __init__(self, url: str):
+    def __init__(self, url: str, clock=None):
         self.http = JsonConnection(url)
+        self.clock = clock or RealClock()
 
     def deliver(self, event: AlertEvent) -> None:
-        for _ in range(self.MAX_TRIES):
+        for attempt in range(self.MAX_TRIES):
+            retry_after = ""
             try:
-                status, _ = self.http.request("POST", doc=event.to_json())
+                status, _, headers = self.http.request("POST",
+                                                       doc=event.to_json())
             except StoreUnavailable:  # the hook is unreachable
-                continue
-            if status < 400:
-                return
-            if status < 500 and status not in self.RETRY_STATUSES:
-                logger.warning("webhook refused the event: HTTP %d", status)
-                return
+                pass
+            else:
+                if status < 400:
+                    return
+                if status < 500 and status not in self.RETRY_STATUSES:
+                    logger.warning("webhook refused the event: HTTP %d", status)
+                    return
+                retry_after = headers.get("Retry-After", "").strip()
+            if attempt + 1 == self.MAX_TRIES:
+                break
+            if not (retry_after.isascii() and retry_after.isdigit()):
+                wait = self.FIRST_WAIT_MS << attempt  # none, or an HTTP date
+            elif len(retry_after) < 10:
+                wait = int(retry_after) * 1000  # RFC 9110 delta-seconds
+            else:  # too long for int() to take at once, and past the cap
+                wait = self.MAX_WAIT_MS
+            self.clock.sleep_ms(min(wait, self.MAX_WAIT_MS))
         logger.warning("webhook delivery failed after %d tries", self.MAX_TRIES)
 
 
@@ -244,14 +297,11 @@ class AlertService:
         return cursor
 
     def _save_cursor(self) -> None:
-        """Write the cursor to a temporary file and rename it into place, so
-        a crash leaves either the old cursor or the new one, never a torn
-        file."""
+        """Replace the cursor file whole, so a crash leaves either the old
+        cursor or the new one, never a torn file."""
         if self.cursor_path is not None:
-            tmp = f"{os.fspath(self.cursor_path)}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"cursor": self.cursor}, fh)
-            os.replace(tmp, self.cursor_path)
+            files.replace(self.cursor_path,
+                          json.dumps({"cursor": self.cursor}).encode("utf-8"))
 
     def _emit(self, event: AlertEvent) -> None:
         for sink in self.sinks:

@@ -10,7 +10,7 @@ import argparse
 import logging
 import sys
 
-from . import alerts, dataset, frames, nn
+from . import alerts, dataset, files, frames, nn
 from .clock import RealClock
 from .gateway import Gateway, GatewayConfig
 from .store import HttpStoreClient, Store, StoreServer, StoreUnavailable
@@ -24,7 +24,10 @@ def cmd_gen(args) -> int:
     if args.n < len(dataset.DEFAULT_CLASSES):
         raise UsageError(f"--n must be at least {len(dataset.DEFAULT_CLASSES)}")
     data = dataset.generate(dataset.default_profiles(), args.n, args.seed)
-    dataset.save_csv(data, args.out)
+    try:
+        dataset.save_csv(data, args.out)
+    except OSError as e:
+        raise OperationalError(f"cannot write {args.out}: {e}")
     print(f"wrote {len(data)} rows to {args.out}")
     return 0
 
@@ -66,8 +69,11 @@ def cmd_train(args) -> int:
                          f"{len(data)}")
     model, report = nn.train(train_set, spec, hyper, test_set=test_set)
     _print_report(report, data.classes)
-    with open(args.out, "wb") as fh:
-        fh.write(nn.export_model(model, spec, data.classes))
+    try:
+        # replaced whole: a service may load the model at this path
+        files.replace(args.out, nn.export_model(model, spec, data.classes))
+    except OSError as e:
+        raise OperationalError(f"cannot write {args.out}: {e}")
     print(f"model written to {args.out}")
     return 0
 
@@ -110,6 +116,15 @@ def _http(client_class, url):
         raise UsageError(str(e))
 
 
+def _notification_log(path):
+    """Open a notification log; a path that cannot be written is an
+    operational error at start-up, not at the first event."""
+    try:
+        return alerts.NotificationLog(path)
+    except OSError as e:
+        raise OperationalError(f"cannot write {path}: {e}")
+
+
 def cmd_gateway(args) -> int:
     try:
         config = GatewayConfig(device_id=args.device, period_ms=args.period,
@@ -128,7 +143,7 @@ def cmd_gateway(args) -> int:
         raise OperationalError(str(e))
     except ValueError as e:  # a bad --speed
         raise UsageError(f"--speed: {e}")
-    sinks = [alerts.NotificationLog(args.events)] if args.events else []
+    sinks = [_notification_log(args.events)] if args.events else []
     client = _http(HttpStoreClient, args.store)
     gw = Gateway(source, client, config, clock=clock, sinks=sinks)
     try:
@@ -151,8 +166,8 @@ def cmd_alerts(args) -> int:
             device_id=args.device, poll_interval_ms=args.interval, rules=rules)
     except ValueError as e:
         raise UsageError(str(e))
+    sinks = [_notification_log(args.log)]
     client = _http(HttpStoreClient, args.store)
-    sinks = [alerts.NotificationLog(args.log)]
     try:
         if args.webhook:
             sinks.append(_http(alerts.WebhookSink, args.webhook))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
+
 FEATURE_NAMES = (
     "ax", "ay", "az", "yaw", "pitch", "roll",
     "load_left", "load_right", "mq2", "mq135",
@@ -138,13 +140,12 @@ def load_csv(source, classes=DEFAULT_CLASSES) -> Dataset:
 def save_csv(dataset: Dataset, sink=None) -> str | None:
     """Write the dataset as CSV to a path or text stream.
 
-    With no sink, returns the CSV text. Values round-trip through repr so
-    load(save(d)) reproduces d exactly.
+    With no sink, returns the CSV text; a file at a path is replaced whole.
+    Values round-trip through repr so load(save(d)) reproduces d exactly.
     """
     if isinstance(sink, (str, bytes, os.PathLike)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            save_csv(dataset, fh)
-            return None
+        files.replace(sink, save_csv(dataset).encode("utf-8"))
+        return None
     buf = sink if sink is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .dataset import FEATURE_NAMES, ClassProfile
 
 FRAME_TAG = "BAG"
@@ -324,7 +325,6 @@ class SimulatorSource:
 
 
 def write_trace(frames, path) -> None:
-    """Record frames as wire lines for later replay."""
-    with open(path, "wb") as fh:
-        for frame in frames:
-            fh.write(encode_frame(frame))
+    """Record frames as wire lines for later replay, replacing the file at
+    `path` whole."""
+    files.replace(path, b"".join(encode_frame(frame) for frame in frames))

@@ -1,13 +1,17 @@
 """Firebase-style document store.
 
 Path-addressed JSON documents with merge-on-PATCH semantics plus per-path
-append-only history streams. Every mutation is written to an append-only
-log (length-prefixed, CRC32-tailed records) before it is acknowledged, and
-the log is replayed on startup; a truncated or corrupt tail yields the
-longest valid prefix. Replay reads the log one record at a time, so
-recovery holds one record in memory beyond the state it rebuilds, and a
-garbage length prefix longer than the rest of the file ends the valid
-prefix instead of being read.
+append-only history streams. Every mutation is written to a log of
+length-prefixed, CRC32-tailed records before it is acknowledged, and the
+log is replayed on startup; a truncated or corrupt tail yields the longest
+valid prefix. The log is a `files.AppendLog`: each record goes out in one
+write, a failed write is cut from the file, and at open the file is cut to
+the prefix replay reached, so a later record never follows a torn one. No
+write is fsynced: an acknowledged write survives a crash of the process,
+not a power loss. Replay reads the log one record at a time, so recovery
+holds one record in memory beyond the state it rebuilds, and a garbage
+length prefix longer than the rest of the file ends the valid prefix
+instead of being read.
 
 A history entry, `HistoryEntry(push_id, text, server_ts)`, holds the JSON
 text of its document as the log record holds it, so writes and replay keep
@@ -93,11 +97,12 @@ from dataclasses import dataclass
 from operator import attrgetter
 from urllib.parse import parse_qsl, quote, urlencode, urlsplit
 
+from . import files
 from .clock import RealClock
 
 logger = logging.getLogger(__name__)
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_SEGMENT_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 # the largest request body the server reads; a longer one gets 413
 MAX_BODY_BYTES = 1 << 20
@@ -144,7 +149,7 @@ class BadDocument(StoreError):
 def parse_path(path: str) -> tuple:
     """Split and validate a slash path into segments."""
     segments = tuple(s for s in path.strip("/").split("/"))
-    if not segments or any(not _SEGMENT_RE.match(s) for s in segments):
+    if not segments or any(not _SEGMENT_RE.fullmatch(s) for s in segments):
         raise BadPath(f"malformed path {path!r}")
     return segments
 
@@ -207,32 +212,18 @@ class Store:
         # the last push id issued or replayed, as an integer: milliseconds
         # times 100000 plus a counter for ids within one millisecond
         self._last_id = -1
-        self._log = None
-        if log_path is not None:
-            try:
-                with open(log_path, "rb") as fh:
-                    valid, size = self._replay(fh)
-            except FileNotFoundError:
-                valid = size = 0
-            # unbuffered, so a failed write leaves no bytes behind to go out
-            # with the next one
-            self._log = open(log_path, "ab", buffering=0)
-            if valid < size:
-                # new records must follow the valid prefix, or the next
-                # replay would stop at the torn tail before reaching them
-                logger.warning("store log: discarding %d bytes after offset %d",
-                               size - valid, valid)
-                self._log.truncate(valid)
-            self._log_end = valid  # where the last good record ends
+        # replayed at open, which cuts a torn tail from the file
+        self._log = (None if log_path is None
+                     else files.AppendLog(log_path, self._replay))
 
     # -- log --------------------------------------------------------------
 
     def _commit(self, record: dict) -> None:
         """Log `record` with one write, then apply what replay parses from
         the same bytes. Runs under the lock. A record that is not JSON or
-        nests too deep, or whose write fails, changes nothing: a failed
-        write is cut from the log, and if that fails too, every later write
-        is refused until a restart."""
+        nests too deep, or whose write fails, changes nothing: the log cuts
+        a failed write, and if it cannot, refuses every later write until a
+        restart."""
         try:
             payload = _compact_json(record)
             record, text = _parse_record(payload)
@@ -242,27 +233,17 @@ class Store:
             raise BadDocument(f"document is not JSON: {e}") from None
         _check_depth(record["doc"], text)
         if self._log is not None:
-            if self._log_end is None:
-                raise StoreUnavailable("store log unusable until restart")
             data = payload.encode("utf-8")
-            data = (struct.pack("<I", len(data)) + data
-                    + struct.pack("<I", zlib.crc32(data)))
             try:
-                if self._log.write(data) != len(data):
-                    raise OSError("short write")
+                self._log.append(struct.pack("<I", len(data)) + data
+                                 + struct.pack("<I", zlib.crc32(data)))
             except OSError as e:
-                try:
-                    self._log.truncate(self._log_end)
-                except OSError:
-                    logger.error("store log: cannot undo a failed write")
-                    self._log_end = None
                 raise StoreUnavailable(f"store log write failed: {e}") from None
-            self._log_end += len(data)
         self._apply(record, text)
 
-    def _replay(self, fh) -> tuple:
+    def _replay(self, fh) -> int:
         """Apply the longest valid prefix of the log open in `fh`, one
-        record at a time; returns (prefix length, file length). A record
+        record at a time, and return its length. A record
         whose document nests deeper than MAX_DOC_DEPTH, which only a log
         written before that bound can hold, is skipped: the records after
         it were acknowledged too."""
@@ -287,7 +268,7 @@ class Store:
             else:
                 self._apply(record, text)
             pos += 4 + length + 4
-        return pos, size
+        return pos
 
     def _apply(self, record: dict, text: str) -> None:
         """The effects of one log record, as `_parse_record` returns it;
@@ -371,7 +352,6 @@ class Store:
         """Close the log; a store with a log then refuses every write."""
         if self._log is not None:
             self._log.close()
-            self._log_end = None
 
 
 # --- HTTP layer ----------------------------------------------------------
@@ -515,8 +495,8 @@ class JsonConnection:
 
     def request(self, method: str, path: str = "", doc=None, query=None):
         """Send one request with `doc` as its JSON body; returns the reply's
-        (status, body bytes). Raises StoreUnavailable when the exchange
-        fails, without sending the request again."""
+        (status, body bytes, headers). Raises StoreUnavailable when the
+        exchange fails, without sending the request again."""
         target = quote(self._prefix + path, safe=self._PATH_SAFE) or "/"
         query = "&".join(q for q in (self._query, urlencode(query or {})) if q)
         if query:
@@ -537,7 +517,7 @@ class JsonConnection:
         try:
             self._conn.request(method, target, body=body, headers=headers)
             resp = self._conn.getresponse()
-            return resp.status, resp.read()
+            return resp.status, resp.read(), resp.headers
         except self._failures as e:
             self._conn.close()
             raise StoreUnavailable(f"{method} {target}: {e!r}") from None
@@ -554,7 +534,7 @@ class HttpStoreClient:
 
     def _request(self, method: str, path: str, doc=None, query=None):
         path = f"/{path.strip('/')}.json"
-        status, body = self.http.request(method, path, doc, query)
+        status, body, _ = self.http.request(method, path, doc, query)
         if status == 404:
             return None
         if status >= 500:

@@ -78,11 +78,13 @@ def open_store():
 
 class CountingServer:
     """A local HTTP server that records each request as (method, path,
-    body) and answers it with `status`, or hangs up without a reply while
-    `status` is None."""
+    body) and answers it with `status`, and a `Retry-After` header when
+    `retry_after` is set, or hangs up without a reply while `status` is
+    None."""
 
     def __init__(self):
         self.status = None
+        self.retry_after = None
         self.requests = []
         owner = self
 
@@ -100,6 +102,8 @@ class CountingServer:
                     self.close_connection = True
                     return
                 self.send_response(owner.status)
+                if owner.retry_after is not None:
+                    self.send_header("Retry-After", owner.retry_after)
                 self.send_header("Content-Length", "2")
                 self.end_headers()
                 self.wfile.write(b"{}")

@@ -258,7 +258,9 @@ class TestAlertService:
         service.poll_once()
         assert json.loads((tmp_path / "cursor.json").read_text()) == \
             {"cursor": last}
-        assert [p.name for p in tmp_path.iterdir()] == ["cursor.json"]
+        # no tmp file is left; the notification log is opened at start-up
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cursor.json", "notifications.jsonl"]
 
     def test_falling_record_emits_activity_alert(self, model_file, tmp_path):
         service, store, log, _ = make_service(model_file, tmp_path)
@@ -366,25 +368,53 @@ class TestAlarm:
         assert service.outstanding_alarm is None
 
 
+class WaitLog(VirtualClock):
+    """A virtual clock that keeps each wait it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = []
+
+    def sleep_ms(self, ms):
+        self.waits.append(ms)
+        super().sleep_ms(ms)
+
+
 class TestWebhook:
     # counting_server hangs up on every request until its status is set
 
     def test_retries_then_gives_up(self, counting_server):
-        sink = WebhookSink(counting_server.url + "/hook")
+        clock = WaitLog()
+        sink = WebhookSink(counting_server.url + "/hook", clock=clock)
         sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
         sink.http.close()
         assert len(counting_server.requests) == 3
+        assert clock.waits == [500, 1000]  # backs off while unreachable
 
-    @pytest.mark.parametrize("status, tries", [
-        (400, 1), (404, 1), (408, 3), (429, 3), (500, 3), (503, 3)])
+    # the waits before each retry: Retry-After in seconds up to a cap, or
+    # else a backoff that doubles; no wait after the last try
+    @pytest.mark.parametrize("status, retry_after, waits", [
+        pytest.param(400, None, [], id="400-1"),
+        pytest.param(404, "1", [], id="404-1"),
+        pytest.param(408, None, [500, 1000], id="408-3"),
+        pytest.param(429, "1", [1000, 1000], id="429-3"),
+        pytest.param(500, "Wed, 21 Oct 2026 07:28:00 GMT", [500, 1000],
+                     id="500-3"),
+        pytest.param(503, "3600", [2000, 2000], id="503-3"),
+        pytest.param(503, "9" * 5000, [2000, 2000], id="503-3-long-wait"),
+    ])
     def test_retries_only_what_can_succeed(self, counting_server, caplog,
-                                           status, tries):
+                                           status, retry_after, waits):
         counting_server.status = status
-        sink = WebhookSink(counting_server.url + "/hook")
+        counting_server.retry_after = retry_after
+        clock = WaitLog()
+        sink = WebhookSink(counting_server.url + "/hook", clock=clock)
         with caplog.at_level("WARNING", logger="smartbag.alerts"):
             sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
         sink.http.close()
+        tries = len(waits) + 1
         assert len(counting_server.requests) == tries
+        assert clock.waits == waits
         [warning] = caplog.records
         if tries == 1:
             assert f"HTTP {status}" in warning.getMessage()
@@ -403,10 +433,11 @@ class TestWebhook:
                                                  counting_server):
         store = Store()
         log = NotificationLog(str(tmp_path / "n.jsonl"))
-        hook = WebhookSink(counting_server.url + "/h")
+        clock = VirtualClock(0)
+        hook = WebhookSink(counting_server.url + "/h", clock=clock)
         service = AlertService(
             store, model_file, AlertServiceConfig(device_id="BAG1"),
-            cursor_path=None, sinks=[log, hook], clock=VirtualClock(0))
+            cursor_path=None, sinks=[log, hook], clock=clock)
         idle = default_profiles()[0]
         store.append_history("bags/BAG1/history",
                              record_from_features(idle.mean, sos=1))
@@ -428,3 +459,17 @@ class TestNotificationLogFormat:
         entry = json.loads(lines[0])
         assert set(entry) == {"ts", "device", "kind", "severity", "activity",
                               "message"}
+
+    def test_torn_line_is_not_glued_to_the_next_event(self, tmp_path):
+        # a crash in the middle of an append leaves half a line
+        path = tmp_path / "n.jsonl"
+        first = AlertEvent("SOS", "EMERGENCY", "BAG1", 1, "first")
+        second = AlertEvent("WATER", "WARN", "BAG1", 2, "second")
+        NotificationLog(str(path)).deliver(first)
+        torn = json.dumps(second.to_json()).encode()
+        with open(path, "ab") as fh:
+            fh.write(torn[:len(torn) // 2])
+        assert NotificationLog(str(path)).read() == [first.to_json()]
+        NotificationLog(str(path)).deliver(second)
+        assert NotificationLog(str(path)).read() == [first.to_json(),
+                                                      second.to_json()]

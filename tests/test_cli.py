@@ -1,4 +1,5 @@
 import gc
+import json
 import socket
 import textwrap
 
@@ -74,6 +75,33 @@ class TestTrainEval:
               "--out", str(model)])
         assert main(["eval", "--model", str(model), "--data", str(data)]) == 1
 
+    def test_failed_model_write_keeps_the_previous_model(self, data_csv,
+                                                         tmp_path):
+        out = tmp_path / "m.bagm"
+        assert main(["train", "--data", data_csv, "--epochs", "1",
+                     "--seed", "0", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        # the process lowers its own file-size limit below the model's size,
+        # so the next model write fails halfway with EFBIG, as a full disk
+        # fails with ENOSPC
+        printed = run_python(textwrap.dedent(f"""
+            import contextlib, io, json, resource, signal
+            from smartbag.cli import main
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (
+                {len(before) // 2}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["train", "--data", {data_csv!r}, "--epochs", "1",
+                             "--seed", "1", "--out", {str(out)!r}])
+            print(json.dumps([code, err.getvalue().splitlines()]))
+            """))
+        code, err = json.loads(printed.splitlines()[-1])
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bagm"]
+
     def test_train_missing_file_operational_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
 
@@ -117,7 +145,7 @@ class TestServices:
         finally:
             sock.close()
         assert code == 1
-        assert len(closed) == 1 and closed[0]._log.closed
+        assert len(closed) == 1 and closed[0]._log._file.closed
         with pytest.raises(StoreUnavailable):
             closed[0].patch("p/x", {"n": 1})
 
@@ -249,15 +277,28 @@ class TestServices:
     (["gateway", "--trace", "T", "--device", "a b"], 2),
     (["alerts", "--device", "a b"], 2),
     (["alarm", "a b"], 2),
+    # a file in a directory that does not exist (M): refused at start-up,
+    # or when the file is written, never with a traceback
+    (["gen", "--out", "M"], 1),
+    (["train", "--out", "M"], 1),
+    (["gateway", "--trace", "T", "--events", "M"], 1),
+    (["alerts", "--log", "M"], 1),
 ], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
         "mq2_max-0", "mq135_max-neg", "dedup_window_ms-neg", "interval-neg",
         "interval-0", "speed-0", "speed-nan", "speed-neg", "gateway-device",
-        "alerts-device", "alarm-device"])
+        "alerts-device", "alarm-device", "gen-out-missing-dir",
+        "train-out-missing-dir", "gateway-events-missing-dir",
+        "alerts-log-missing-dir"])
 def test_bad_values_exit_cleanly(argv, code, data_csv, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("")
-    argv = [str(trace) if arg == "T" else arg for arg in argv] + {
-        "train": ["--data", data_csv, "--out", str(tmp_path / "m.bagm")],
+    given = {"T": str(trace), "M": str(tmp_path / "missing" / "file")}
+    argv = [given.get(arg, arg) for arg in argv]
+    # the given flags come last, so they win over these defaults
+    argv[1:1] = {
+        "gen": ["--n", "10"],
+        "train": ["--data", data_csv, "--epochs", "1",
+                  "--out", str(tmp_path / "m.bagm")],
         "gateway": ["--store", "http://127.0.0.1:9"],
         "alerts": ["--store", "http://127.0.0.1:9",
                    "--model", str(tmp_path / "m.bagm")],
