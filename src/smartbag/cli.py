@@ -166,6 +166,10 @@ def cmd_alerts(args) -> int:
             device_id=args.device, poll_interval_ms=args.interval, rules=rules)
     except ValueError as e:
         raise UsageError(str(e))
+    try:  # the cursor is first written at the first entry
+        files.check_replaceable(args.cursor)
+    except OSError as e:
+        raise OperationalError(f"cannot write {args.cursor}: {e}")
     sinks = [_notification_log(args.log)]
     client = _http(HttpStoreClient, args.store)
     try:

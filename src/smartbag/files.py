@@ -5,6 +5,7 @@
   the file is cut to the valid prefix its reader's scan reports.
 - `replace`, for the alert cursor, model files, dataset CSVs and frame
   traces: write `<path>.tmp`, then rename it over `<path>`.
+  `check_replaceable` lets a service refuse such a path at start-up.
 
 So a process crash at any point leaves a file its reader accepts: the valid
 prefix of a log, or the old or the new version of a replaced file, with at
@@ -86,3 +87,12 @@ def replace(path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def check_replaceable(path) -> None:
+    """Raise OSError when `replace` cannot write `<path>.tmp`: create that
+    file and remove it again, leaving `path` as it was."""
+    tmp = os.fsdecode(path) + ".tmp"
+    with open(tmp, "wb"):
+        pass
+    os.remove(tmp)

@@ -112,8 +112,9 @@ MAX_BODY_BYTES = 1 << 20
 # once per level, and a gateway record is 2 levels deep.
 MAX_DOC_DEPTH = 64
 
-# a log record's "doc" key, up to its value; the keys logged before it hold
-# only an op name and path segments, so the first match is the key
+# a "doc" key, up to its value, in a log record or a history reply; the keys
+# before it hold only an op name and path segments, or an id and a time, so
+# the first match is the key
 _DOC_KEY = re.compile(r'"doc"[ \t\n\r]*:[ \t\n\r]*')
 _raw_decode = json.JSONDecoder().raw_decode
 # what the store logs and what a history reply holds
@@ -128,6 +129,20 @@ def _parse_record(payload: str) -> tuple:
     record, _ = _raw_decode(payload[:start] + "0" + payload[end:])
     record["doc"] = doc
     return record, payload[start:end]
+
+
+def _parse_page(reply: str) -> list:
+    """A history reply's JSON text as its entries, each holding the text of
+    its "doc" value exactly as the reply does."""
+    texts, rest, pos = [], [], 0
+    while (key := _DOC_KEY.search(reply, pos)) is not None:
+        _, end = _raw_decode(reply, key.end())
+        rest.append(reply[pos:key.end()] + "0")
+        texts.append(reply[key.end():end])
+        pos = end
+    rest.append(reply[pos:])
+    return [HistoryEntry(e["id"], text, e["ts"])
+            for e, text in zip(json.loads("".join(rest)), texts)]
 
 
 class StoreError(ValueError):
@@ -532,7 +547,8 @@ class HttpStoreClient:
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.http = JsonConnection(base_url, timeout)
 
-    def _request(self, method: str, path: str, doc=None, query=None):
+    def _reply_text(self, method: str, path: str, doc=None, query=None):
+        """The reply's JSON text, or None for 404."""
         path = f"/{path.strip('/')}.json"
         status, body, _ = self.http.request(method, path, doc, query)
         if status == 404:
@@ -542,7 +558,11 @@ class HttpStoreClient:
         if status >= 400:
             raise ValueError(f"{method} {path}: "
                              f"{body.decode('utf-8', 'replace')}")
-        return json.loads(body.decode("utf-8"))
+        return body.decode("utf-8")
+
+    def _request(self, method: str, path: str, doc=None, query=None):
+        text = self._reply_text(method, path, doc, query)
+        return None if text is None else json.loads(text)
 
     def patch(self, path: str, doc: dict) -> dict:
         return self._request("PATCH", path, doc)
@@ -560,9 +580,7 @@ class HttpStoreClient:
         query = {"since": since or ""}
         if limit is not None:
             query["limit"] = limit
-        # the reply is decoded whole, so each document is encoded again
-        return [HistoryEntry(e["id"], _compact_json(e["doc"]), e["ts"])
-                for e in self._request("GET", path, query=query)]
+        return _parse_page(self._reply_text("GET", path, query=query))
 
     def close(self) -> None:
         self.http.close()

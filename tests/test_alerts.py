@@ -219,6 +219,21 @@ class TestAlertService:
         assert service2.poll_once() == 0
         assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 13: a service whose cursor file is lost notifies "
+        "every SOS in the history again"))
+    def test_lost_cursor_does_not_realert(self, model_file, tmp_path):
+        service, store, log, _ = make_service(model_file, tmp_path)
+        idle = default_profiles()[0]
+        for _ in range(3):
+            store.append_history("bags/BAG1/history",
+                                 record_from_features(idle.mean, sos=1))
+        assert service.poll_once() == 3
+        (tmp_path / "cursor.json").write_text("")
+        service2, _, _, _ = make_service(model_file, tmp_path, store=store)
+        service2.poll_once()
+        assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
+
     def test_malformed_record_skipped(self, model_file, tmp_path):
         service, store, log, _ = make_service(model_file, tmp_path)
         store.append_history("bags/BAG1/history", {"bogus": True})

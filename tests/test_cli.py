@@ -283,12 +283,13 @@ class TestServices:
     (["train", "--out", "M"], 1),
     (["gateway", "--trace", "T", "--events", "M"], 1),
     (["alerts", "--log", "M"], 1),
+    (["alerts", "--cursor", "M"], 1),
 ], ids=["epochs-0", "split-1.5", "split-0.001", "period-0", "buffer-0",
         "mq2_max-0", "mq135_max-neg", "dedup_window_ms-neg", "interval-neg",
         "interval-0", "speed-0", "speed-nan", "speed-neg", "gateway-device",
         "alerts-device", "alarm-device", "gen-out-missing-dir",
         "train-out-missing-dir", "gateway-events-missing-dir",
-        "alerts-log-missing-dir"])
+        "alerts-log-missing-dir", "alerts-cursor-missing-dir"])
 def test_bad_values_exit_cleanly(argv, code, data_csv, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("")
@@ -301,7 +302,8 @@ def test_bad_values_exit_cleanly(argv, code, data_csv, tmp_path, capsys):
                   "--out", str(tmp_path / "m.bagm")],
         "gateway": ["--store", "http://127.0.0.1:9"],
         "alerts": ["--store", "http://127.0.0.1:9",
-                   "--model", str(tmp_path / "m.bagm")],
+                   "--model", str(tmp_path / "m.bagm"),
+                   "--cursor", str(tmp_path / "c")],
         "alarm": ["--store", "http://127.0.0.1:9"],
     }[argv[0]]
     assert main(argv) == code

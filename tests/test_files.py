@@ -388,3 +388,13 @@ def test_append_log_cuts_to_the_scanned_prefix(tmp_path, caplog):
     log.close()
     assert path.read_bytes() == b"good\nnext\n"
     assert "discarding 4 bytes after offset 5" in caplog.text
+
+
+def test_check_replaceable_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "cursor"
+    path.write_bytes(b"old")
+    files.check_replaceable(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cursor"]
+    assert path.read_bytes() == b"old"
+    with pytest.raises(FileNotFoundError):
+        files.check_replaceable(tmp_path / "missing" / "cursor")

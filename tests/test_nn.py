@@ -463,15 +463,22 @@ class TestTrain:
                              test_set=test_set)
         assert report.test_accuracy >= 0.95
 
-    @pytest.mark.parametrize("lam", [0.0, 0.3])
-    def test_matches_public_step_loop(self, lam):
+    @pytest.mark.parametrize("rows, fraction, hyper", [
+        (300, None, nn.Hyperparams(epochs=3, batch_size=64, lam=0.0, seed=11)),
+        (300, None, nn.Hyperparams(epochs=3, batch_size=64, lam=0.3, seed=11)),
+        # the build perfbench's train workload times: 1568 training rows,
+        # the default spec and hyperparameters
+        (1743, 0.9, nn.Hyperparams()),
+    ], ids=["0.0", "0.3", "perfbench"])
+    def test_matches_public_step_loop(self, rows, fraction, hyper):
         # train runs on flat buffers and scores the training set from its
         # last epoch's forward pass; the same kernels run on fresh gradient
         # arrays and one Adam state per parameter array, on the same
         # permutation stream, must give the same bits
-        data = generate(default_profiles(), 300, seed=5)
+        data = generate(default_profiles(), rows, seed=5)
+        if fraction is not None:
+            data, _ = split(data, fraction, 5)
         spec = nn.ModelSpec()
-        hyper = nn.Hyperparams(epochs=3, batch_size=64, lam=lam, seed=11)
         model, report = nn.train(data, spec, hyper)
 
         norm = fit_normalizer(data)
@@ -487,11 +494,12 @@ class TestTrain:
             for start in range(0, len(data), hyper.batch_size):
                 idx = order[start:start + hyper.batch_size]
                 grad_w, grad_b = empty_grads(params)
-                nn._backward_into(params, x[idx], y[idx], lam, grad_w, grad_b)
+                nn._backward_into(params, x[idx], y[idx], hyper.lam,
+                                  grad_w, grad_b)
                 for a, g, state in zip(arrays, grad_w + grad_b, states):
                     nn._adam_update(a, g, state, hyper.learning_rate)
             probs = nn.forward_output(params, x)
-            losses.append(nn._loss(params, probs, y, lam))
+            losses.append(nn._loss(params, probs, y, hyper.lam))
         for got, want in zip(model.weights + model.biases,
                              params.weights + params.biases):
             assert_bits_equal(got, want)

@@ -1258,6 +1258,25 @@ def test_tricky_documents_read_alike_over_http(server, make_client, doc):
     assert in_process == [json.loads(json.dumps(doc))] * 4
 
 
+def test_clients_hand_out_the_logged_text(tmp_path, make_client):
+    # an entry replayed from a log written with spaces, and one written
+    # live; both documents hold "doc" keys of their own
+    log = tmp_path / "store.wal"
+    log.write_bytes(wal([{"op": "append", "path": ["h", "s"], "id": "12",
+                          "ts": 5, "doc": {"a": 1, "b": [1, 2],
+                                           "doc": {"doc": 0}}}]))
+    srv = StoreServer(Store(log_path=str(log))).start()
+    try:
+        client = make_client(srv.base_url)
+        client.post("h/s", {"doc": '"doc": 1', "n": [1.5, -0.0]})
+        over_http = client.get_history("h/s")
+    finally:
+        srv.stop()
+    in_process = srv.store.get_history("h/s")
+    assert in_process[0].text == '{"a": 1, "b": [1, 2], "doc": {"doc": 0}}'
+    assert over_http == in_process
+
+
 @pytest.mark.parametrize("method", ["patch", "get", "post", "get_history"])
 def test_clients_share_signatures(method):
     # the gateway and the alert service run against any of the three
