@@ -1,16 +1,16 @@
 """Alert engine: classify telemetry records and raise notifications.
 
 Polls the store's history stream with a persisted cursor, classifies each
-record with the cached model file, evaluates the alert rules, writes the
-classified activity back to the stored record, and delivers events to an
-append-only notification log plus an optional webhook. Also issues the
-find-my-bag alarm command.
+record with the cached model file, evaluates the alert rules on the
+record's own `ts`, writes the classified activity back to the stored
+record, and delivers events to an append-only notification log plus an
+optional webhook. Also issues the find-my-bag alarm command.
 
-Both files the service writes go through `files`: the cursor is replaced
-whole after each entry, so a crash leaves the old cursor or the new one;
-the notification log is a `files.AppendLog` of JSON lines, one write per
-event, whose torn last line is cut at the next append and skipped by
-`NotificationLog.read` until then. Neither is fsynced.
+Both files the service writes go through `files`: the cursor, with the
+dedup state, is replaced whole after each entry, so a crash leaves the old
+pair or the new one; the notification log is a `files.AppendLog` of JSON
+lines, one write per event, whose torn last line is cut at the next append
+and skipped by `NotificationLog.read` until then. Neither is fsynced.
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def classify_record(model, vocabulary, record: dict):
 
 
 def eval_rules(record: dict, activity: str | None, rules: AlertRuleSet,
-               dedup_state: dict, now_ms: int) -> list:
-    """Pure rule evaluation; emits SOS, GAS, WATER, ACTIVITY in that order,
-    deduplicated per (device, kind) within the window. Thresholds are strict."""
+               dedup_state: dict) -> list:
+    """Pure rule evaluation on the record alone; emits SOS, GAS, WATER,
+    ACTIVITY in order, on strict thresholds, unless 0 <= ts - last < window."""
     device = record.get("deviceId", "?")
-    ts = record.get("ts", now_ms)
+    if type(ts := record.get("ts")) is not int:  # a bool is no time either
+        raise RecordSchemaError("non-integer field ts")
     candidates = []
     if record.get("sos") == 1:
         candidates.append(("SOS", "SOS button pressed"))
@@ -141,11 +142,10 @@ def eval_rules(record: dict, activity: str | None, rules: AlertRuleSet,
 
     events = []
     for kind, message in candidates:
-        key = (device, kind)
-        last = dedup_state.get(key)
-        if last is not None and now_ms - last < rules.dedup_window_ms:
+        last = dedup_state.get((device, kind))
+        if last is not None and 0 <= ts - last < rules.dedup_window_ms:
             continue
-        dedup_state[key] = now_ms
+        dedup_state[device, kind] = ts
         events.append(AlertEvent(kind, SEVERITY[kind], device, ts, message,
                                  activity))
     return events
@@ -263,8 +263,8 @@ class AlertService:
         self.sinks = list(sinks)
         self.clock = clock or RealClock()
         self.model, _, self.vocabulary = self._load_model(model_path)
-        self.cursor = self._load_cursor()
-        self.dedup_state = {}
+        # (device, kind) -> ts of the last event of that kind
+        self.cursor, self.dedup_state = self._load_cursor()
         self.skipped = 0
         self.outstanding_alarm: int | None = None  # issue time of the alarm
 
@@ -280,38 +280,50 @@ class AlertService:
                 f"{len(_FEATURE_PATHS)} record features")
         return params, spec, vocabulary
 
-    def _load_cursor(self):
+    def _load_cursor(self) -> tuple:
+        """The cursor and the dedup state the cursor file holds; a file
+        written before the dedup state was kept holds the cursor alone."""
         if self.cursor_path is None:
-            return None
+            return None, {}
         try:
             with open(self.cursor_path, "r", encoding="utf-8") as fh:
-                cursor = json.load(fh)["cursor"]
+                saved = json.load(fh)
+            cursor = saved["cursor"]
             if cursor is not None and not isinstance(cursor, str):
                 raise TypeError(f"cursor {cursor!r} is not a push id")
+            dedup_state = {}
+            for device, kind, ts in saved.get("last", []):
+                if not (isinstance(device, str) and isinstance(kind, str)
+                        and type(ts) is int):
+                    raise TypeError(f"dedup entry {[device, kind, ts]!r} "
+                                    f"is not [device, kind, ts]")
+                dedup_state[device, kind] = ts
         except FileNotFoundError:
-            return None
+            return None, {}
         except (ValueError, TypeError, KeyError) as e:
             logger.warning("unreadable cursor file %s (%s); starting with no "
                            "cursor", self.cursor_path, e)
-            return None
-        return cursor
+            return None, {}
+        return cursor, dedup_state
 
     def _save_cursor(self) -> None:
         """Replace the cursor file whole, so a crash leaves either the old
-        cursor or the new one, never a torn file."""
+        cursor and dedup state or the new ones, never a torn file."""
         if self.cursor_path is not None:
-            files.replace(self.cursor_path,
-                          json.dumps({"cursor": self.cursor}).encode("utf-8"))
+            last = [[*key, ts] for key, ts in self.dedup_state.items()]
+            files.replace(self.cursor_path, json.dumps(
+                {"cursor": self.cursor, "last": last}).encode("utf-8"))
 
     def _emit(self, event: AlertEvent) -> None:
         for sink in self.sinks:
             sink.deliver(event)
 
     def _process_entry(self, entry_id: str, record: dict) -> None:
-        now = self.clock.now_ms()
         device = self.config.device_id
         try:
             activity, _ = classify_record(self.model, self.vocabulary, record)
+            events = eval_rules(record, activity, self.config.rules,
+                                self.dedup_state)
         except RecordSchemaError as e:
             logger.warning("skipping malformed record %s: %s", entry_id, e)
             self.skipped += 1
@@ -320,8 +332,7 @@ class AlertService:
             self.store.patch(f"bags/{device}/latest", {"activity": activity})
         except StoreUnavailable:
             logger.warning("could not write activity back for %s", entry_id)
-        for event in eval_rules(record, activity, self.config.rules,
-                                self.dedup_state, now):
+        for event in events:
             self._emit(event)
 
     def poll_once(self) -> int:

@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mq135-max", type=float, default=rules.mq135_max,
                    help="MQ-135 gas alert threshold")
     p.add_argument("--dedup-window", type=int, default=rules.dedup_window_ms,
-                   help="alert dedup window ms")
+                   help="alert dedup window, ms of record time")
     p.set_defaults(func=cmd_alerts)
 
     p = sub.add_parser("alarm", help="trigger the find-my-bag alarm")

@@ -121,28 +121,26 @@ _raw_decode = json.JSONDecoder().raw_decode
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _cut_docs(text: str) -> tuple:
+    """A log record's or a history reply's JSON text, decoded with each
+    "doc" value put as 0, and those values as (decoded, text exactly as
+    `text` holds it)."""
+    rest, docs, pos = [], [], 0
+    while (key := _DOC_KEY.search(text, pos)) is not None:
+        doc, end = _raw_decode(text, key.end())
+        rest.append(text[pos:key.end()] + "0")
+        docs.append((doc, text[key.end():end]))
+        pos = end
+    rest.append(text[pos:])
+    return json.loads("".join(rest)), docs
+
+
 def _parse_record(payload: str) -> tuple:
     """A log record's JSON text as (record, doc text): the record decoded,
     and the text of its "doc" value exactly as it was logged."""
-    start = _DOC_KEY.search(payload).end()
-    doc, end = _raw_decode(payload, start)
-    record, _ = _raw_decode(payload[:start] + "0" + payload[end:])
+    record, [(doc, text)] = _cut_docs(payload)
     record["doc"] = doc
-    return record, payload[start:end]
-
-
-def _parse_page(reply: str) -> list:
-    """A history reply's JSON text as its entries, each holding the text of
-    its "doc" value exactly as the reply does."""
-    texts, rest, pos = [], [], 0
-    while (key := _DOC_KEY.search(reply, pos)) is not None:
-        _, end = _raw_decode(reply, key.end())
-        rest.append(reply[pos:key.end()] + "0")
-        texts.append(reply[key.end():end])
-        pos = end
-    rest.append(reply[pos:])
-    return [HistoryEntry(e["id"], text, e["ts"])
-            for e, text in zip(json.loads("".join(rest)), texts)]
+    return record, text
 
 
 class StoreError(ValueError):
@@ -580,7 +578,9 @@ class HttpStoreClient:
         query = {"since": since or ""}
         if limit is not None:
             query["limit"] = limit
-        return _parse_page(self._reply_text("GET", path, query=query))
+        entries, docs = _cut_docs(self._reply_text("GET", path, query=query))
+        return [HistoryEntry(e["id"], text, e["ts"])
+                for e, (_, text) in zip(entries, docs)]
 
     def close(self) -> None:
         self.http.close()

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from smartbag import alerts, nn
 from smartbag.alerts import (
@@ -99,7 +103,7 @@ class TestClassifyRecord:
 class TestEvalRules:
     def test_sos_event(self):
         record = record_from_features(np.zeros(13), sos=1)
-        events = eval_rules(record, "Idle", AlertRuleSet(), {}, now_ms=0)
+        events = eval_rules(record, "Idle", AlertRuleSet(), {})
         assert len(events) == 1
         assert events[0].kind == "SOS" and events[0].severity == "EMERGENCY"
 
@@ -107,10 +111,10 @@ class TestEvalRules:
         features = np.zeros(13)
         features[8] = 300.0  # mq2 exactly at threshold
         record = record_from_features(features)
-        assert eval_rules(record, "Idle", AlertRuleSet(), {}, 0) == []
+        assert eval_rules(record, "Idle", AlertRuleSet(), {}) == []
         features[8] = 300.0001
         record = record_from_features(features)
-        events = eval_rules(record, "Idle", AlertRuleSet(), {}, 0)
+        events = eval_rules(record, "Idle", AlertRuleSet(), {})
         assert [e.kind for e in events] == ["GAS"]
         assert events[0].severity == "WARN"
 
@@ -118,12 +122,12 @@ class TestEvalRules:
         features = np.zeros(13)
         features[-1] = 1.0
         record = record_from_features(features)
-        events = eval_rules(record, "Idle", AlertRuleSet(), {}, 0)
+        events = eval_rules(record, "Idle", AlertRuleSet(), {})
         assert [e.kind for e in events] == ["WATER"]
 
     def test_activity_event(self):
         record = record_from_features(np.zeros(13))
-        events = eval_rules(record, "Falling", AlertRuleSet(), {}, 0)
+        events = eval_rules(record, "Falling", AlertRuleSet(), {})
         assert [e.kind for e in events] == ["ACTIVITY"]
         assert events[0].severity == "EMERGENCY"
         assert events[0].activity == "Falling"
@@ -133,7 +137,7 @@ class TestEvalRules:
         features[8] = 999.0
         features[-1] = 1.0
         record = record_from_features(features, sos=1)
-        events = eval_rules(record, "Falling", AlertRuleSet(), {}, 0)
+        events = eval_rules(record, "Falling", AlertRuleSet(), {})
         assert [e.kind for e in events] == ["SOS", "GAS", "WATER", "ACTIVITY"]
 
     def test_dedup_window(self):
@@ -141,12 +145,12 @@ class TestEvalRules:
         features[-1] = 1.0
         state = {}
         rules = AlertRuleSet(dedup_window_ms=30_000)
-        first = eval_rules(record_from_features(features), "Idle", rules,
-                           state, now_ms=0)
-        second = eval_rules(record_from_features(features), "Idle", rules,
-                            state, now_ms=10_000)
-        third = eval_rules(record_from_features(features), "Idle", rules,
-                           state, now_ms=40_000)
+        first = eval_rules(record_from_features(features, ts=0), "Idle",
+                           rules, state)
+        second = eval_rules(record_from_features(features, ts=10_000), "Idle",
+                            rules, state)
+        third = eval_rules(record_from_features(features, ts=40_000), "Idle",
+                           rules, state)
         assert len(first) == 1 and second == [] and len(third) == 1
 
     def test_dedup_is_per_device_and_kind(self):
@@ -155,10 +159,32 @@ class TestEvalRules:
         state = {}
         rules = AlertRuleSet()
         a = eval_rules(record_from_features(features, device="BAGA"),
-                       "Idle", rules, state, 0)
+                       "Idle", rules, state)
         b = eval_rules(record_from_features(features, device="BAGB"),
-                       "Idle", rules, state, 0)
+                       "Idle", rules, state)
         assert len(a) == 1 and len(b) == 1
+
+    def test_dedup_after_a_clock_step_back(self):
+        # a bag clock that steps back never silences an SOS; the window then
+        # runs from the stepped-back time
+        state, rules = {}, AlertRuleSet(dedup_window_ms=30_000)
+        kinds = [[e.kind for e in eval_rules(
+            record_from_features(np.zeros(13), ts=ts, sos=1), "Idle", rules,
+            state)] for ts in (40_000, 10_000, 39_999, 40_000)]
+        assert kinds == [["SOS"], ["SOS"], [], ["SOS"]]
+        assert state == {("BAG1", "SOS"): 40_000}
+
+    @pytest.mark.parametrize("ts", ["5", 5.0, True, None, "missing"])
+    def test_time_must_be_an_integer(self, ts):
+        record = record_from_features(np.zeros(13), sos=1)
+        if ts == "missing":
+            del record["ts"]
+        else:
+            record["ts"] = ts
+        state = {("BAG1", "SOS"): -10 ** 9}
+        with pytest.raises(RecordSchemaError, match="ts"):
+            eval_rules(record, "Falling", AlertRuleSet(), state)
+        assert state == {("BAG1", "SOS"): -10 ** 9}
 
 
 @pytest.mark.parametrize("config_kw", [
@@ -219,6 +245,45 @@ class TestAlertService:
         assert service2.poll_once() == 0
         assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
 
+    def test_restart_keeps_dedup(self, model_file, tmp_path):
+        service, store, log, _ = make_service(model_file, tmp_path)
+        idle = default_profiles()[0]
+        store.append_history("bags/BAG1/history",
+                             record_from_features(idle.mean, ts=0, sos=1))
+        service.poll_once()
+        # the second press is inside the first one's window, and the new
+        # service reads that window from the cursor file
+        service2, _, _, _ = make_service(model_file, tmp_path, store=store)
+        store.append_history("bags/BAG1/history",
+                             record_from_features(idle.mean, ts=10_000, sos=1))
+        assert service2.poll_once() == 1
+        assert [e["ts"] for e in log.read() if e["kind"] == "SOS"] == [0]
+
+    def test_one_poll_keeps_distinct_presses(self, model_file, tmp_path):
+        service, store, log, _ = make_service(model_file, tmp_path)
+        idle = default_profiles()[0]
+        for ts in (3000, 20_000, 43_000):
+            store.append_history("bags/BAG1/history",
+                                 record_from_features(idle.mean, ts=ts, sos=1))
+        # the whole backlog is read at one poll time
+        assert service.poll_once() == 3
+        assert [e["ts"] for e in log.read() if e["kind"] == "SOS"] == \
+            [3000, 43_000]
+
+    def test_processing_reads_no_clock(self, model_file, tmp_path):
+        service, store, log, clock = make_service(model_file, tmp_path)
+
+        def now_ms():
+            raise AssertionError("the clock was read")
+
+        clock.now_ms = now_ms
+        idle = default_profiles()[0]
+        for ts in (0, 1000):
+            store.append_history("bags/BAG1/history",
+                                 record_from_features(idle.mean, ts=ts, sos=1))
+        assert service.poll_once() == 2
+        assert [e["kind"] for e in log.read()] == ["SOS"]
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 13: a service whose cursor file is lost notifies "
         "every SOS in the history again"))
@@ -233,6 +298,26 @@ class TestAlertService:
         service2, _, _, _ = make_service(model_file, tmp_path, store=store)
         service2.poll_once()
         assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
+
+    def test_record_without_an_integer_time_skipped(self, model_file,
+                                                    tmp_path):
+        service, store, log, _ = make_service(model_file, tmp_path)
+        idle = default_profiles()[0]
+        for ts in ("5", 5.0, True, None, "missing"):
+            record = record_from_features(idle.mean, sos=1)
+            if ts == "missing":
+                del record["ts"]
+            else:
+                record["ts"] = ts
+            store.append_history("bags/BAG1/history", record)
+        last = store.append_history("bags/BAG1/history",
+                                    record_from_features(idle.mean, sos=1))
+        assert service.poll_once() == 6
+        assert service.skipped == 5
+        assert service.cursor == last
+        assert [e["kind"] for e in log.read()] == ["SOS"]
+        # a skipped record writes no activity back
+        assert store.get("bags/BAG1/latest") == {"activity": "Idle"}
 
     def test_malformed_record_skipped(self, model_file, tmp_path):
         service, store, log, _ = make_service(model_file, tmp_path)
@@ -260,19 +345,46 @@ class TestAlertService:
 
     def test_torn_cursor_file_starts_without_cursor(self, model_file,
                                                     tmp_path):
-        for torn in ("", '{"cur', "[]", '{"cursor": 7}'):
+        for torn in ("", '{"cur', "[]", '{"cursor": 7}',
+                     '{"cursor": "1", "last": 5}',
+                     '{"cursor": "1", "last": null}',
+                     '{"cursor": "1", "last": [["BAG1", "SOS"]]}',
+                     '{"cursor": "1", "last": [["BAG1", "SOS", 1.5]]}',
+                     '{"cursor": "1", "last": [["BAG1", "SOS", true]]}',
+                     '{"cursor": "1", "last": [["BAG1", 7, 0]]}',
+                     '{"cursor": "1", "last": ["abc"]}'):
             (tmp_path / "cursor.json").write_text(torn)
             service, _, _, _ = make_service(model_file, tmp_path)
             assert service.cursor is None
+            assert service.dedup_state == {}
+
+    def test_cursor_file_without_dedup_state_is_read(self, model_file,
+                                                     tmp_path):
+        store = Store()
+        idle = default_profiles()[0]
+        first = store.append_history("bags/BAG1/history",
+                                     record_from_features(idle.mean))
+        last = store.append_history("bags/BAG1/history",
+                                    record_from_features(idle.mean, ts=9,
+                                                         sos=1))
+        # the form written before the dedup state was kept
+        (tmp_path / "cursor.json").write_text(json.dumps({"cursor": first}))
+        service, _, log, _ = make_service(model_file, tmp_path, store=store)
+        assert (service.cursor, service.dedup_state) == (first, {})
+        assert service.poll_once() == 1
+        assert [e["ts"] for e in log.read()] == [9]
+        assert json.loads((tmp_path / "cursor.json").read_text()) == \
+            {"cursor": last, "last": [["BAG1", "SOS", 9]]}
 
     def test_cursor_file_replaced_whole(self, model_file, tmp_path):
         service, store, _, _ = make_service(model_file, tmp_path)
         idle = default_profiles()[0]
         last = store.append_history("bags/BAG1/history",
-                                    record_from_features(idle.mean))
+                                    record_from_features(idle.mean, ts=7,
+                                                         sos=1))
         service.poll_once()
         assert json.loads((tmp_path / "cursor.json").read_text()) == \
-            {"cursor": last}
+            {"cursor": last, "last": [["BAG1", "SOS", 7]]}
         # no tmp file is left; the notification log is opened at start-up
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["cursor.json", "notifications.jsonl"]
@@ -311,13 +423,55 @@ class TestAlertService:
             assert [e["kind"] for e in log.read()] == ["SOS"]
             assert service.cursor == ids[-1]
             assert json.loads((tmp_path / "cursor.json").read_text()) == \
-                {"cursor": ids[-1]}
+                {"cursor": ids[-1], "last": [["BAG1", "SOS", 0]]}
             # nothing new: one short page
             assert service.poll_once() == 0
             assert pages == [3, 3, 3, 3]
         finally:
             client.close()
             server.stop()
+
+
+# one history record: the step from the previous record's ts (a step back
+# is a bag clock set back), its SOS and water flags, and what follows it
+history_steps = st.lists(st.tuples(
+    st.one_of(st.integers(0, 60_000), st.integers(-60_000, -1),
+              st.sampled_from([29_999, 30_000])),
+    st.booleans(), st.booleans(),
+    st.sampled_from(["append", "poll", "restart"])), max_size=30)
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None, database=None)
+@given(steps=history_steps, data=st.data())
+def test_notifications_follow_the_history_alone(model_file, trained_model_blob,
+                                                steps, data):
+    """However the history is split into polls and pages, and however often
+    the service restarts on its cursor file, it logs the events of one
+    eval_rules fold over the whole history."""
+    idle = default_profiles()[0]
+    model, _, vocabulary = nn.import_model(trained_model_blob)
+    store, ts, expected, state = Store(), 0, [], {}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        service, _, log, _ = make_service(model_file, Path(tmp), store=store)
+        for step, sos, water, then in steps:
+            ts += step
+            features = idle.mean.copy()
+            features[-1] = float(water)
+            record = record_from_features(features, ts=ts, sos=int(sos))
+            store.append_history("bags/BAG1/history", record)
+            activity, _ = classify_record(model, vocabulary, record)
+            expected += [e.to_json() for e in eval_rules(
+                record, activity, AlertRuleSet(), state)]
+            if then == "restart":
+                service, _, _, _ = make_service(model_file, Path(tmp),
+                                                store=store)
+            elif then == "poll":
+                mp.setattr(alerts, "HISTORY_PAGE",
+                           data.draw(st.integers(1, 4), label="page"))
+                service.poll_once()
+        service.poll_once()
+        assert log.read() == expected
 
 
 class Stop(Exception):
