@@ -5,7 +5,9 @@ telemetry record, carrying an SOS or water flag from any frame of the
 period, and appended to a buffer; one drain loop (`flush`) then pushes each
 buffered record, oldest first, with one store write that appends it to
 `bags/<device>/history` and merges it into `bags/<device>/latest`, and
-stops at the first failure. While the store is unreachable the buffer keeps
+stops at the first failure. A record whose write raised may have landed
+with only its reply lost, so it is looked up in `latest` before it is
+sent again. While the store is unreachable the buffer keeps
 the newest `buffer_capacity` records and counts the ones it drops. The
 gateway also polls `bags/<device>/commands` for the find-my-bag alarm flag,
 acknowledges it, and delivers an ALARM_TRIGGERED `AlertEvent` to its sinks.
@@ -54,6 +56,7 @@ class Gateway:
         self.dropped = 0
         self.pushed_history = 0
         self.alarm_events = []
+        self._unsure = None  # the record whose push raised
 
     # -- alarm command loop ----------------------------------------------
 
@@ -82,7 +85,6 @@ class Gateway:
         device = self.config.device_id
         self.store.post(f"bags/{device}/history", record,
                         latest=f"bags/{device}/latest")
-        self.pushed_history += 1
 
     def tick(self) -> None:
         """One push period's worth of work."""
@@ -112,11 +114,21 @@ class Gateway:
                 return
             self.clock.sleep_ms(self.config.period_ms)
 
+    def _landed(self, record: dict) -> bool:
+        """Whether `latest` holds every key of the record: its push was
+        applied, and only the reply was lost."""
+        latest = self.store.get(f"bags/{self.config.device_id}/latest") or {}
+        return all(latest.get(k) == v for k, v in record.items())
+
     def flush(self) -> None:
         """Push buffered records oldest first until the store fails."""
         while self.buffer:
+            record = self.buffer[0]
             try:
-                self._push(self.buffer[0])
+                if record is not self._unsure or not self._landed(record):
+                    self._push(record)
             except StoreUnavailable:
+                self._unsure = record
                 return
+            self.pushed_history += 1
             self.buffer.popleft()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import pytest
 
 from smartbag import nn
 from smartbag.dataset import DEFAULT_CLASSES, default_profiles, generate
-from smartbag.store import POLL_INTERVAL_S, Store, StoreUnavailable
+from smartbag.store import (
+    POLL_INTERVAL_S, HttpStoreClient, Store, StoreServer, StoreUnavailable,
+)
 
 
 def run_python(code: str, unset=()) -> str:
@@ -27,37 +30,80 @@ def run_python(code: str, unset=()) -> str:
                           timeout=60, stdout=subprocess.PIPE, text=True).stdout
 
 
-class FlakyStore(Store):
-    """A real Store whose client methods raise StoreUnavailable while
-    `down` is set, as HttpStoreClient does when the server is unreachable."""
+class FaultyClient:
+    """Any store client behind the four client methods, recording each
+    call as (method, path, latest) in `calls`. While `down` is set, a call
+    raises StoreUnavailable before it reaches the store; so do the next
+    `refuse[method]` calls of a method, and the next `lose_reply[method]`
+    reach the store and then raise, as when the reply is lost."""
 
-    down = False
+    def __init__(self, client, store: Store):
+        self.client, self.store = client, store
+        self.calls, self.down = [], False
+        self.refuse, self.lose_reply = Counter(), Counter()
 
-    def _check(self):
+    def _call(self, method, path, latest, *args):
+        self.calls.append((method, path, latest))
         if self.down:
             raise StoreUnavailable("store down")
+        if self.refuse[method] > 0:
+            self.refuse[method] -= 1
+            raise StoreUnavailable(f"{method} refused")
+        reply = getattr(self.client, method)(path, *args)
+        if self.lose_reply[method] > 0:
+            self.lose_reply[method] -= 1
+            raise StoreUnavailable(f"{method} reply lost")
+        return reply
 
     def patch(self, path: str, doc: dict) -> dict:
-        self._check()
-        return super().patch(path, doc)
+        return self._call("patch", path, None, doc)
 
     def get(self, path: str) -> dict | None:
-        self._check()
-        return super().get(path)
+        return self._call("get", path, None)
 
     def post(self, path: str, doc: dict, latest: str | None = None) -> dict:
-        self._check()
-        return super().post(path, doc, latest)
+        return self._call("post", path, latest, doc, latest)
 
     def get_history(self, path: str, since: str | None = None,
                     limit: int | None = None) -> list:
-        self._check()
-        return super().get_history(path, since=since, limit=limit)
+        return self._call("get_history", path, None, since, limit)
 
 
-@pytest.fixture
-def flaky_store():
-    return FlakyStore()
+def serve(store: Store, port: int = 0) -> StoreServer:
+    """A started StoreServer whose replies skip the delayed-ACK stall,
+    which no test that uses it measures."""
+    srv = StoreServer(store, port=port)
+    srv.httpd.RequestHandlerClass.disable_nagle_algorithm = True
+    return srv.start()
+
+
+def open_client(request, kind: str) -> FaultyClient:
+    """A FaultyClient over a new Store, in process ("store") or through an
+    HttpStoreClient to a live StoreServer ("http"), closed at teardown."""
+    store = Store()
+    if kind == "store":
+        return FaultyClient(store, store)
+    srv = serve(store)
+    http = HttpStoreClient(srv.base_url)
+    request.addfinalizer(srv.stop)
+    request.addfinalizer(http.close)
+    return FaultyClient(http, store)
+
+
+@pytest.fixture(params=["store", "http"])
+def client(request):
+    """Each store client, behind a FaultyClient."""
+    return open_client(request, request.param)
+
+
+class OverStore:
+    """Gives a test class's tests a FaultyClient over an in-process Store;
+    a subclass that sets `kind = "http"` runs them again over HTTP."""
+    kind = "store"
+
+    @pytest.fixture
+    def client(self, request):
+        return open_client(request, self.kind)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from smartbag.frames import SensorFrame
 from smartbag.gateway import to_record
 from smartbag.store import HttpStoreClient, Store, StoreServer
 
-from conftest import FlakyStore
+from conftest import OverStore
 from test_frames import random_frame
 
 
@@ -196,6 +196,12 @@ def test_service_config_rejects_bad_values(config_kw):
         AlertServiceConfig(**config_kw)
 
 
+def append(client, record) -> str:
+    """Appends a record to the device history past the client, as the
+    gateway would; returns its push id."""
+    return client.store.append_history("bags/BAG1/history", record)
+
+
 def make_service(model_file, tmp_path, store=None):
     store = store or Store()
     log = NotificationLog(str(tmp_path / "notifications.jsonl"))
@@ -208,70 +214,64 @@ def make_service(model_file, tmp_path, store=None):
     return service, store, log, clock
 
 
-class TestAlertService:
+class TestAlertService(OverStore):
     def test_refuses_model_of_wrong_width(self, narrow_model_file, tmp_path):
         with pytest.raises(nn.ShapeMismatch, match="input width 5"):
             make_service(narrow_model_file, tmp_path)
 
     def test_sos_in_history_produces_one_notification(self, model_file,
-                                                      tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+                                                      tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
-        store.append_history("bags/BAG1/history",
-                             record_from_features(idle.mean, sos=1))
-        store.append_history("bags/BAG1/history",
-                             record_from_features(idle.mean))
+        append(client, record_from_features(idle.mean, sos=1))
+        append(client, record_from_features(idle.mean))
         assert service.poll_once() == 2
         sos_lines = [e for e in log.read() if e["kind"] == "SOS"]
         assert len(sos_lines) == 1
         assert sos_lines[0]["severity"] == "EMERGENCY"
 
-    def test_activity_written_back(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_activity_written_back(self, model_file, tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         running = default_profiles()[2]
-        store.append_history("bags/BAG1/history",
-                             record_from_features(running.mean))
+        append(client, record_from_features(running.mean))
         service.poll_once()
-        assert store.get("bags/BAG1/latest")["activity"] == "Running"
+        assert client.get("bags/BAG1/latest")["activity"] == "Running"
 
-    def test_restart_does_not_realert(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_restart_does_not_realert(self, model_file, tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
-        store.append_history("bags/BAG1/history",
-                             record_from_features(idle.mean, sos=1))
+        append(client, record_from_features(idle.mean, sos=1))
         service.poll_once()
         # new service instance, same cursor file
-        service2, _, _, _ = make_service(model_file, tmp_path, store=store)
+        service2, _, _, _ = make_service(model_file, tmp_path, client)
         assert service2.poll_once() == 0
         assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
 
-    def test_restart_keeps_dedup(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_restart_keeps_dedup(self, model_file, tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
-        store.append_history("bags/BAG1/history",
-                             record_from_features(idle.mean, ts=0, sos=1))
+        append(client, record_from_features(idle.mean, ts=0, sos=1))
         service.poll_once()
         # the second press is inside the first one's window, and the new
         # service reads that window from the cursor file
-        service2, _, _, _ = make_service(model_file, tmp_path, store=store)
-        store.append_history("bags/BAG1/history",
-                             record_from_features(idle.mean, ts=10_000, sos=1))
+        service2, _, _, _ = make_service(model_file, tmp_path, client)
+        append(client, record_from_features(idle.mean, ts=10_000, sos=1))
         assert service2.poll_once() == 1
         assert [e["ts"] for e in log.read() if e["kind"] == "SOS"] == [0]
 
-    def test_one_poll_keeps_distinct_presses(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_one_poll_keeps_distinct_presses(self, model_file,
+                                             tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
         for ts in (3000, 20_000, 43_000):
-            store.append_history("bags/BAG1/history",
-                                 record_from_features(idle.mean, ts=ts, sos=1))
+            append(client, record_from_features(idle.mean, ts=ts, sos=1))
         # the whole backlog is read at one poll time
         assert service.poll_once() == 3
         assert [e["ts"] for e in log.read() if e["kind"] == "SOS"] == \
             [3000, 43_000]
 
-    def test_processing_reads_no_clock(self, model_file, tmp_path):
-        service, store, log, clock = make_service(model_file, tmp_path)
+    def test_processing_reads_no_clock(self, model_file, tmp_path, client):
+        service, _, log, clock = make_service(model_file, tmp_path, client)
 
         def now_ms():
             raise AssertionError("the clock was read")
@@ -279,29 +279,27 @@ class TestAlertService:
         clock.now_ms = now_ms
         idle = default_profiles()[0]
         for ts in (0, 1000):
-            store.append_history("bags/BAG1/history",
-                                 record_from_features(idle.mean, ts=ts, sos=1))
+            append(client, record_from_features(idle.mean, ts=ts, sos=1))
         assert service.poll_once() == 2
         assert [e["kind"] for e in log.read()] == ["SOS"]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 13: a service whose cursor file is lost notifies "
         "every SOS in the history again"))
-    def test_lost_cursor_does_not_realert(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_lost_cursor_does_not_realert(self, model_file, tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
         for _ in range(3):
-            store.append_history("bags/BAG1/history",
-                                 record_from_features(idle.mean, sos=1))
+            append(client, record_from_features(idle.mean, sos=1))
         assert service.poll_once() == 3
         (tmp_path / "cursor.json").write_text("")
-        service2, _, _, _ = make_service(model_file, tmp_path, store=store)
+        service2, _, _, _ = make_service(model_file, tmp_path, client)
         service2.poll_once()
         assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
 
     def test_record_without_an_integer_time_skipped(self, model_file,
-                                                    tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+                                                    tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
         for ts in ("5", 5.0, True, None, "missing"):
             record = record_from_features(idle.mean, sos=1)
@@ -309,34 +307,31 @@ class TestAlertService:
                 del record["ts"]
             else:
                 record["ts"] = ts
-            store.append_history("bags/BAG1/history", record)
-        last = store.append_history("bags/BAG1/history",
-                                    record_from_features(idle.mean, sos=1))
+            append(client, record)
+        last = append(client, record_from_features(idle.mean, sos=1))
         assert service.poll_once() == 6
         assert service.skipped == 5
         assert service.cursor == last
         assert [e["kind"] for e in log.read()] == ["SOS"]
         # a skipped record writes no activity back
-        assert store.get("bags/BAG1/latest") == {"activity": "Idle"}
+        assert client.get("bags/BAG1/latest") == {"activity": "Idle"}
 
-    def test_malformed_record_skipped(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
-        store.append_history("bags/BAG1/history", {"bogus": True})
+    def test_malformed_record_skipped(self, model_file, tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
+        append(client, {"bogus": True})
         idle = default_profiles()[0]
-        store.append_history("bags/BAG1/history",
-                             record_from_features(idle.mean))
+        append(client, record_from_features(idle.mean))
         assert service.poll_once() == 2
         assert service.skipped == 1
 
-    def test_polls_past_nan_record(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_polls_past_nan_record(self, model_file, tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
         # json.loads accepts NaN, so a stored document can carry one
         bad = record_from_features(idle.mean)
         bad["env"]["temp"] = float("nan")
-        store.append_history("bags/BAG1/history", bad)
-        last = store.append_history("bags/BAG1/history",
-                                    record_from_features(idle.mean, sos=1))
+        append(client, bad)
+        last = append(client, record_from_features(idle.mean, sos=1))
         assert service.poll_once() == 2
         assert service.skipped == 1
         assert service.cursor == last
@@ -359,29 +354,23 @@ class TestAlertService:
             assert service.dedup_state == {}
 
     def test_cursor_file_without_dedup_state_is_read(self, model_file,
-                                                     tmp_path):
-        store = Store()
+                                                     tmp_path, client):
         idle = default_profiles()[0]
-        first = store.append_history("bags/BAG1/history",
-                                     record_from_features(idle.mean))
-        last = store.append_history("bags/BAG1/history",
-                                    record_from_features(idle.mean, ts=9,
-                                                         sos=1))
+        first = append(client, record_from_features(idle.mean))
+        last = append(client, record_from_features(idle.mean, ts=9, sos=1))
         # the form written before the dedup state was kept
         (tmp_path / "cursor.json").write_text(json.dumps({"cursor": first}))
-        service, _, log, _ = make_service(model_file, tmp_path, store=store)
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         assert (service.cursor, service.dedup_state) == (first, {})
         assert service.poll_once() == 1
         assert [e["ts"] for e in log.read()] == [9]
         assert json.loads((tmp_path / "cursor.json").read_text()) == \
             {"cursor": last, "last": [["BAG1", "SOS", 9]]}
 
-    def test_cursor_file_replaced_whole(self, model_file, tmp_path):
-        service, store, _, _ = make_service(model_file, tmp_path)
+    def test_cursor_file_replaced_whole(self, model_file, tmp_path, client):
+        service, _, _, _ = make_service(model_file, tmp_path, client)
         idle = default_profiles()[0]
-        last = store.append_history("bags/BAG1/history",
-                                    record_from_features(idle.mean, ts=7,
-                                                         sos=1))
+        last = append(client, record_from_features(idle.mean, ts=7, sos=1))
         service.poll_once()
         assert json.loads((tmp_path / "cursor.json").read_text()) == \
             {"cursor": last, "last": [["BAG1", "SOS", 7]]}
@@ -389,11 +378,11 @@ class TestAlertService:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["cursor.json", "notifications.jsonl"]
 
-    def test_falling_record_emits_activity_alert(self, model_file, tmp_path):
-        service, store, log, _ = make_service(model_file, tmp_path)
+    def test_falling_record_emits_activity_alert(self, model_file,
+                                                 tmp_path, client):
+        service, _, log, _ = make_service(model_file, tmp_path, client)
         falling = default_profiles()[4]
-        store.append_history("bags/BAG1/history",
-                             record_from_features(falling.mean))
+        append(client, record_from_features(falling.mean))
         service.poll_once()
         kinds = [e["kind"] for e in log.read()]
         assert kinds == ["ACTIVITY"]
@@ -430,6 +419,14 @@ class TestAlertService:
         finally:
             client.close()
             server.stop()
+
+
+class TestAlertServiceOverHttp(TestAlertService):
+    kind = "http"
+    # these reach no store through `client`
+    test_refuses_model_of_wrong_width = None
+    test_torn_cursor_file_starts_without_cursor = None
+    test_poll_reads_history_in_pages = None
 
 
 # one history record: the step from the previous record's ts (a step back
@@ -478,24 +475,29 @@ class Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("down, intervals", [
-    # the store down for six polls, up for two, then down again
-    ([1] * 6 + [0, 0, 1], [2, 4, 8, 16, 32, 32, 1, 1, 2]),
-    ([0, 0, 0], [1, 1, 1]),
-], ids=["store-down", "store-up"])
-def test_run_sleeps_once_per_poll(model_file, tmp_path, down, intervals):
+# the store down for six polls, up for two, then down again
+STORE_DOWN = ([1] * 6 + [0, 0, 1], [2, 4, 8, 16, 32, 32, 1, 1, 2])
+STORE_UP = ([0, 0, 0], [1, 1, 1])
+
+
+@pytest.mark.parametrize("client, down, intervals", [
+    ("store", *STORE_DOWN), ("store", *STORE_UP),
+    ("http", *STORE_DOWN), ("http", *STORE_UP),
+], ids=["store-down", "store-up", "store-down-over-http",
+        "store-up-over-http"], indirect=["client"])
+def test_run_sleeps_once_per_poll(model_file, tmp_path, client, down,
+                                  intervals):
     """One interval after a poll, min(2**k, 32) after k failed polls in a
     row; stopped by a clock whose sleep raises after the last poll."""
-    store = FlakyStore()
-    service, _, _, _ = make_service(model_file, tmp_path, store=store)
-    store.down = bool(down[0])
+    service, _, _, _ = make_service(model_file, tmp_path, client)
+    client.down = bool(down[0])
     sleeps = []
 
     def sleep_ms(ms):
         sleeps.append(ms)
         if len(sleeps) == len(down):
             raise Stop
-        store.down = bool(down[len(sleeps)])
+        client.down = bool(down[len(sleeps)])
 
     service.clock.sleep_ms = sleep_ms
     with pytest.raises(Stop):
@@ -504,27 +506,28 @@ def test_run_sleeps_once_per_poll(model_file, tmp_path, down, intervals):
     assert sleeps == [interval * n for n in intervals]
 
 
-class TestAlarm:
-    def test_trigger_then_ack(self, model_file, tmp_path):
-        service, store, log, clock = make_service(model_file, tmp_path)
+class TestAlarm(OverStore):
+    def test_trigger_then_ack(self, model_file, tmp_path, client):
+        service, _, log, clock = make_service(model_file, tmp_path, client)
         issued = service.trigger_alarm()
         assert service.outstanding_alarm == issued
-        assert store.get("bags/BAG1/commands")["alarm"] == 1
+        assert client.get("bags/BAG1/commands")["alarm"] == 1
         # gateway-side ack
-        store.patch("bags/BAG1/commands", {"alarm": 0, "ackTs": 5})
+        client.store.patch("bags/BAG1/commands", {"alarm": 0, "ackTs": 5})
         service.poll_once()
         assert service.outstanding_alarm is None
         assert "ALARM_TRIGGERED" not in [e["kind"] for e in log.read()]
 
-    def test_double_trigger_single_outstanding(self, model_file, tmp_path):
-        service, store, _, clock = make_service(model_file, tmp_path)
+    def test_double_trigger_single_outstanding(self, model_file,
+                                               tmp_path, client):
+        service, _, _, clock = make_service(model_file, tmp_path, client)
         first = service.trigger_alarm()
         clock.advance(10)
         second = service.trigger_alarm()
         assert first == second
 
-    def test_ttl_warn(self, model_file, tmp_path):
-        service, store, log, clock = make_service(model_file, tmp_path)
+    def test_ttl_warn(self, model_file, tmp_path, client):
+        service, _, log, clock = make_service(model_file, tmp_path, client)
         service.trigger_alarm()
         clock.advance(ALARM_TTL_MS - 1)
         service.poll_once()
@@ -535,6 +538,10 @@ class TestAlarm:
         assert [e["kind"] for e in events] == ["ALARM_TRIGGERED"]
         assert events[0]["severity"] == "WARN"
         assert service.outstanding_alarm is None
+
+
+class TestAlarmOverHttp(TestAlarm):
+    kind = "http"
 
 
 class WaitLog(VirtualClock):

@@ -7,12 +7,14 @@ from smartbag.alerts import NotificationLog
 from smartbag.clock import VirtualClock
 from smartbag.frames import SensorFrame, TraceSource, encode_frame
 from smartbag.gateway import Gateway, GatewayConfig, to_record
-from smartbag.store import StoreUnavailable
+from smartbag.store import HttpStoreClient, Store
 
-from conftest import FlakyStore
+from conftest import OverStore, serve
 from test_frames import random_frame
 
 HISTORY = "bags/BAG1/history"
+LATEST = "bags/BAG1/latest"
+COMMANDS = "bags/BAG1/commands"
 
 
 def trace_lines(n, step_ms=1000, sos_at=None, water_at=None):
@@ -41,67 +43,6 @@ def make_gateway(store, lines, capacity=1024, period=2000, start=0):
 
 def history_seqs(store):
     return [e.doc["seq"] for e in store.get_history(HISTORY)]
-
-
-class LatestPatchFails(FlakyStore):
-    """Fails the first `failures` PATCHes of `latest`; the POSTs before
-    them land. The gateway writes `latest` through its POST, so these
-    failures must not touch its pushes."""
-
-    def __init__(self, failures):
-        super().__init__()
-        self.failures = failures
-
-    def patch(self, path, doc):
-        if path.endswith("/latest") and self.failures:
-            self.failures -= 1
-            raise StoreUnavailable("latest PATCH lost")
-        return super().patch(path, doc)
-
-
-class CountingStore(FlakyStore):
-    """Records each write the gateway makes: (method, path, latest)."""
-
-    def __init__(self):
-        super().__init__()
-        self.writes = []
-
-    def patch(self, path, doc):
-        self.writes.append(("patch", path, None))
-        return super().patch(path, doc)
-
-    def post(self, path, doc, latest=None):
-        self.writes.append(("post", path, latest))
-        return super().post(path, doc, latest)
-
-
-class PostFails(FlakyStore):
-    """Refuses the first `failures` POSTs, as an unreachable store would."""
-
-    def __init__(self, failures):
-        super().__init__()
-        self.failures = failures
-
-    def post(self, path, doc, latest=None):
-        if self.failures:
-            self.failures -= 1
-            raise StoreUnavailable("POST lost")
-        return super().post(path, doc, latest)
-
-
-class ReplyLost(FlakyStore):
-    """Applies each POST. Once `lose_reply` is set, the next POST is
-    applied and then raises StoreUnavailable, as a read timeout or a reset
-    after the server wrote would."""
-
-    lose_reply = False
-
-    def post(self, path, doc, latest=None):
-        reply = super().post(path, doc, latest)
-        if self.lose_reply:
-            self.lose_reply = False
-            raise StoreUnavailable("reply lost")
-        return reply
 
 
 class TestToRecord:
@@ -139,184 +80,239 @@ class TestToRecord:
         assert len(records) == len(set(frames))
 
 
-class TestPushLoop:
-    def test_push_count_follows_period(self, flaky_store):
+class TestPushLoop(OverStore):
+    def test_push_count_follows_period(self, client):
         # 5 frames at 1 Hz, 2 s period, 5 s of running: 2-3 pushes, each one
         # history POST that also merges into latest
-        gw, clock = make_gateway(flaky_store, trace_lines(5), period=2000)
+        gw, clock = make_gateway(client, trace_lines(5), period=2000)
         end = 5000
         while clock.now_ms() <= end:
             gw.tick()
             clock.advance(2000)
-        assert 2 <= len(flaky_store.get_history(HISTORY)) <= 3
+        assert 2 <= len(client.get_history(HISTORY)) <= 3
 
-    def test_latest_reflects_newest(self, flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(4, step_ms=500))
+    def test_latest_reflects_newest(self, client):
+        gw, clock = make_gateway(client, trace_lines(4, step_ms=500))
         clock.advance(10_000)
         gw.tick()
-        doc = flaky_store.get("bags/BAG1/latest")
+        doc = client.get(LATEST)
         assert doc["seq"] == 3
 
-    def test_outage_then_recovery_preserves_order(self, flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(6, step_ms=2000))
-        flaky_store.down = True
+    def test_outage_then_recovery_preserves_order(self, client):
+        gw, clock = make_gateway(client, trace_lines(6, step_ms=2000))
+        client.down = True
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        flaky_store.down = False
-        assert flaky_store.get_history(HISTORY) == []
+        client.down = False
+        assert client.get_history(HISTORY) == []
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        seqs = history_seqs(flaky_store)
+        seqs = history_seqs(client)
         assert seqs == sorted(seqs)
         assert set(seqs) == {0, 1, 2, 3, 4, 5}
 
-    def test_bounded_buffer_drops_oldest(self, flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=2000),
+    def test_bounded_buffer_drops_oldest(self, client):
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=2000),
                                  capacity=2)
-        flaky_store.down = True
+        client.down = True
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
         assert gw.dropped == 1
         assert [r["seq"] for r in gw.buffer] == [1, 2]
-        flaky_store.down = False
+        client.down = False
         gw.flush()
-        assert history_seqs(flaky_store) == [1, 2]
+        assert history_seqs(client) == [1, 2]
 
-    def test_full_buffer_drops_nothing_when_store_recovers(self,
-                                                           flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=2000),
+    def test_full_buffer_drops_nothing_when_store_recovers(self, client):
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=2000),
                                  capacity=2)
-        flaky_store.down = True
+        client.down = True
         for _ in range(2):
             gw.tick()
             clock.advance(2000)
         assert len(gw.buffer) == 2
-        flaky_store.down = False
+        client.down = False
         gw.tick()
         assert gw.dropped == 0 and not gw.buffer
-        assert history_seqs(flaky_store) == [0, 1, 2]
+        assert history_seqs(client) == [0, 1, 2]
 
-    def test_failed_latest_patch_does_not_repost(self):
-        store = LatestPatchFails(failures=1)
-        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000))
+    def test_failed_latest_patch_does_not_repost(self, client):
+        # the gateway writes `latest` through its POST, so failed PATCHes
+        # must not touch its pushes
+        client.refuse["patch"] = 1
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=2000))
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        assert history_seqs(store) == [0, 1, 2]
-        assert store.get("bags/BAG1/latest")["seq"] == 2
+        assert history_seqs(client) == [0, 1, 2]
+        assert client.get(LATEST)["seq"] == 2
 
-    def test_trimmed_record_already_posted_is_not_dropped(self):
-        store = LatestPatchFails(failures=2)
-        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000),
+    def test_trimmed_record_already_posted_is_not_dropped(self, client):
+        client.refuse["patch"] = 2
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=2000),
                                  capacity=1)
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        assert history_seqs(store) == [0, 1, 2]
+        assert history_seqs(client) == [0, 1, 2]
         assert gw.dropped == 0
 
-    def test_one_store_write_per_record(self):
-        store = CountingStore()
-        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000))
+    def test_one_store_write_per_record(self, client):
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=2000))
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        assert store.writes == [("post", HISTORY, "bags/BAG1/latest")] * 3
-        assert history_seqs(store) == [0, 1, 2]
-        assert store.get("bags/BAG1/latest") == \
-            store.get_history(HISTORY)[-1].doc
+        # one write and the command poll per tick; a push that did not fail
+        # reads nothing back
+        assert client.calls == [("post", HISTORY, LATEST),
+                                ("get", COMMANDS, None)] * 3
+        assert history_seqs(client) == [0, 1, 2]
+        assert client.get(LATEST) == client.get_history(HISTORY)[-1].doc
 
-    def test_failed_post_is_sent_again_and_lands_once(self):
-        store = PostFails(failures=1)
-        gw, clock = make_gateway(store, trace_lines(3, step_ms=2000))
+    def test_failed_post_is_sent_again_and_lands_once(self, client):
+        client.refuse["post"] = 1
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=2000))
         gw.tick()
-        assert store.get_history(HISTORY) == []
-        assert store.get("bags/BAG1/latest") is None
+        assert client.get_history(HISTORY) == []
+        assert client.get(LATEST) is None
         for _ in range(2):
             clock.advance(2000)
             gw.tick()
-        assert history_seqs(store) == [0, 1, 2]
-        assert store.get("bags/BAG1/latest")["seq"] == 2
+        assert history_seqs(client) == [0, 1, 2]
+        assert client.get(LATEST)["seq"] == 2
         assert gw.dropped == 0 and not gw.buffer
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 3: the gateway posts a record again after a lost "
-        "reply, and the store appends it twice"))
-    def test_lost_reply_does_not_duplicate_the_entry(self):
-        store = ReplyLost()
-        gw, clock = make_gateway(store, trace_lines(7))
+    def test_lost_reply_does_not_duplicate_the_entry(self, client):
+        gw, clock = make_gateway(client, trace_lines(7))
         gw.tick()
-        store.lose_reply = True
+        client.lose_reply["post"] = 1
         for _ in range(3):
             clock.advance(2000)
             gw.tick()
-        # today the seqs read [0, 2, 2, 4, 6]
-        seqs = history_seqs(store)
+        # the record whose reply was lost is found in `latest`, not posted
+        # again
+        seqs = history_seqs(client)
         assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+
+    def test_lost_reply_settled_once_the_store_is_back(self, client):
+        gw, clock = make_gateway(client, trace_lines(7))
+        gw.tick()
+        client.lose_reply["post"] = 1
+        clock.advance(2000)
+        gw.tick()
+        client.down = True
+        client.calls.clear()
+        clock.advance(2000)
+        gw.tick()
+        # the read-back is the one push request of a tick in the outage;
+        # the record stays buffered behind it
+        assert client.calls == [("get", LATEST, None), ("get", COMMANDS, None)]
+        assert [r["seq"] for r in gw.buffer] == [2, 4]
+        client.down = False
+        for _ in range(2):
+            clock.advance(2000)
+            gw.tick()
+        assert history_seqs(client) == [0, 2, 4, 6]
+        assert client.get(LATEST) == client.get_history(HISTORY)[-1].doc
+        assert gw.dropped == 0 and not gw.buffer
 
     @pytest.mark.parametrize("flag", ["sos", "water"])
     def test_event_on_an_earlier_frame_of_the_window_is_pushed(
-            self, flaky_store, flag):
+            self, client, flag):
         # 1 Hz frames, 2 s period: the flag is on frame 1, and the tick at
         # 2 s pushes frame 2, the newest of frames 1 and 2
         lines = trace_lines(5, step_ms=1000, **{f"{flag}_at": 1})
-        gw, clock = make_gateway(flaky_store, lines)
+        gw, clock = make_gateway(client, lines)
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
-        history = flaky_store.get_history(HISTORY)
+        history = client.get_history(HISTORY)
         assert [(e.doc["seq"], e.doc[flag]) for e in history] == \
             [(0, 0), (2, 1), (4, 0)]
 
-    def test_run_stops_when_trace_exhausted(self, flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))
+    def test_run_stops_when_trace_exhausted(self, client):
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=1000))
         gw.run()
         assert gw.pushed_history >= 1
         assert gw.source.exhausted
 
-    def test_run_on_exhausted_trace_waits_for_the_store(self, flaky_store):
+    def test_run_on_exhausted_trace_waits_for_the_store(self, client):
         # frames at 0, 1 and 2 s; the ticks at 0 and 2 s read all three
-        gw, clock = make_gateway(flaky_store, trace_lines(3, step_ms=1000))
-        flaky_store.down = True
+        gw, clock = make_gateway(client, trace_lines(3, step_ms=1000))
+        client.down = True
         sleeps = []
 
         def sleep_ms(ms):
             sleeps.append(ms)
             assert len(sleeps) < 20, "run did not return"
             clock.advance(ms)
-            flaky_store.down = len(sleeps) < 5
+            client.down = len(sleeps) < 5
 
         clock.sleep_ms = sleep_ms
         gw.run()
         # the source ran out at the second tick; the next three found the
         # store down, and the sixth drained the buffer
         assert sleeps == [2000] * 5
-        assert history_seqs(flaky_store) == [0, 2]
+        assert history_seqs(client) == [0, 2]
         assert not gw.buffer and gw.dropped == 0
 
 
-class TestAlarmAck:
-    def test_ack_resets_flag_and_logs_event(self, flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(1))
-        flaky_store.patch("bags/BAG1/commands", {"alarm": 1, "issuedTs": 0})
+class TestPushLoopOverHttp(TestPushLoop):
+    kind = "http"
+
+
+def test_push_across_a_store_restart(tmp_path):
+    # the store is stopped for three ticks, then a new one on the same log
+    # and port takes over; the gateway's client reconnects to it
+    log = str(tmp_path / "s.wal")
+    srv = serve(Store(log_path=log))
+    port = srv.httpd.server_address[1]
+    http = HttpStoreClient(srv.base_url)
+    gw, clock = make_gateway(http, trace_lines(12))
+    try:
+        for i in range(8):
+            if i == 2:
+                srv.stop()
+                srv = None
+            elif i == 5:
+                srv = serve(Store(log_path=log), port)
+            gw.tick()
+            clock.advance(2000)
+            if i == 4:  # the outage's three records wait for the new store
+                assert len(gw.buffer) == 3
+        assert not gw.buffer and gw.dropped == 0
+        seqs = history_seqs(http)
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+        assert seqs == [0, 2, 4, 6, 8, 10, 11]
+        assert http.get(LATEST) == http.get_history(HISTORY)[-1].doc
+    finally:
+        http.close()
+        if srv is not None:
+            srv.stop()
+
+
+class TestAlarmAck(OverStore):
+    def test_ack_resets_flag_and_logs_event(self, client):
+        gw, clock = make_gateway(client, trace_lines(1))
+        client.store.patch(COMMANDS, {"alarm": 1, "issuedTs": 0})
         gw.tick()
         assert len(gw.alarm_events) == 1
         assert gw.alarm_events[0]["kind"] == "ALARM_TRIGGERED"
-        assert flaky_store.get("bags/BAG1/commands")["alarm"] == 0
+        assert client.get(COMMANDS)["alarm"] == 0
 
-    def test_no_event_without_command(self, flaky_store):
-        gw, clock = make_gateway(flaky_store, trace_lines(1))
+    def test_no_event_without_command(self, client):
+        gw, clock = make_gateway(client, trace_lines(1))
         gw.tick()
         assert gw.alarm_events == []
 
-    def test_event_log_file(self, tmp_path, flaky_store):
+    def test_event_log_file(self, tmp_path, client):
         clock = VirtualClock(0)
-        flaky_store.patch("bags/BAG1/commands", {"alarm": 1})
+        client.store.patch(COMMANDS, {"alarm": 1})
         log = tmp_path / "events.jsonl"
-        gw = Gateway(TraceSource([], 0), flaky_store, GatewayConfig(),
+        gw = Gateway(TraceSource([], 0), client, GatewayConfig(),
                      clock=clock, sinks=[NotificationLog(str(log))])
         gw.tick()
         # the bytes of the gateway's former hand-built event line
@@ -325,3 +321,7 @@ class TestAlarmAck:
             b'"severity": "INFO", "activity": null, '
             b'"message": "find-my-bag alarm sounded"}\n')
         assert gw.alarm_events == [json.loads(log.read_text())]
+
+
+class TestAlarmAckOverHttp(TestAlarmAck):
+    kind = "http"

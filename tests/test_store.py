@@ -29,7 +29,7 @@ from smartbag.store import (
     StoreUnavailable, merge_docs,
 )
 
-from conftest import FlakyStore, run_python
+from conftest import FaultyClient, run_python
 
 
 def wal(records) -> bytes:
@@ -1127,19 +1127,6 @@ class TestHttpClientFailures:
         assert out == "ok\n"
 
 
-@pytest.fixture(params=["store", "http"])
-def client(request):
-    """Each implementation of the store's client methods."""
-    if request.param == "store":
-        yield Store()
-        return
-    srv = StoreServer(Store()).start()
-    client = HttpStoreClient(srv.base_url)
-    yield client
-    client.close()
-    srv.stop()
-
-
 def test_client_contract(client):
     # merge-PATCH returns the merged document
     assert client.patch("bags/c/latest", {"a": 1, "n": {"x": 1}}) == \
@@ -1281,7 +1268,7 @@ def test_clients_hand_out_the_logged_text(tmp_path, make_client):
 def test_clients_share_signatures(method):
     # the gateway and the alert service run against any of the three
     expected = inspect.signature(getattr(Store, method))
-    for cls in (HttpStoreClient, FlakyStore):
+    for cls in (HttpStoreClient, FaultyClient):
         assert inspect.signature(getattr(cls, method)) == expected, cls
 
 
