@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -28,6 +29,25 @@ def run_python(code: str, unset=()) -> str:
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           timeout=60, stdout=subprocess.PIPE, text=True).stdout
+
+
+def nested(depth: int) -> dict:
+    """A document of objects nested `depth` levels deep."""
+    doc = {}
+    for _ in range(depth - 1):
+        doc = {"n": doc}
+    return doc
+
+
+# documents whose JSON text is easy to get wrong: non-ASCII text, -0.0 and
+# extreme floats, ints past 64 bits, and what JSON cannot keep as it is
+# (tuples, int keys)
+TRICKY_DOCS = {
+    "non-ascii": {"text": "bag \u00e9t\u00e9 \u2603 \U0001f392", "\u00fc": "key"},
+    "floats": {"floats": [0.1, 1e-300, -0.0, 1.5e308, 2.0 ** 0.5]},
+    "big-ints": {"ints": [2 ** 64, -(10 ** 30), 0]},
+    "tuples-int-keys": {"pair": (1, 2), 7: {8: ("nested", 9.25)}},
+}
 
 
 class FaultyClient:
@@ -71,9 +91,11 @@ class FaultyClient:
 
 def serve(store: Store, port: int = 0) -> StoreServer:
     """A started StoreServer whose replies skip the delayed-ACK stall,
-    which no test that uses it measures."""
+    which no test that uses it measures, and whose `stop` waits at most
+    5 ms, not POLL_INTERVAL_S, for its serving loop to notice."""
     srv = StoreServer(store, port=port)
     srv.httpd.RequestHandlerClass.disable_nagle_algorithm = True
+    srv.serve_forever = partial(srv.httpd.serve_forever, 0.005)
     return srv.start()
 
 

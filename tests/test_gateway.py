@@ -140,25 +140,38 @@ class TestPushLoop(OverStore):
         assert history_seqs(client) == [0, 1, 2]
 
     def test_failed_latest_patch_does_not_repost(self, client):
-        # the gateway writes `latest` through its POST, so failed PATCHes
-        # must not touch its pushes
+        # a refused alarm ack, the gateway's one PATCH, is sent again on the
+        # next tick, which delivers the alarm again; pushes go on meanwhile
+        client.store.patch(COMMANDS, {"alarm": 1, "issuedTs": 0})
         client.refuse["patch"] = 1
         gw, clock = make_gateway(client, trace_lines(3, step_ms=2000))
         for _ in range(3):
             gw.tick()
             clock.advance(2000)
         assert history_seqs(client) == [0, 1, 2]
-        assert client.get(LATEST)["seq"] == 2
+        assert [e["kind"] for e in gw.alarm_events] == ["ALARM_TRIGGERED"] * 2
+        assert client.get(COMMANDS) == {"alarm": 0, "issuedTs": 0,
+                                        "ackTs": 2000}
 
     def test_trimmed_record_already_posted_is_not_dropped(self, client):
-        client.refuse["patch"] = 2
+        # a record whose reply was lost is trimmed, unsure, in an outage:
+        # it counts as dropped, and costs the next push no read-back
         gw, clock = make_gateway(client, trace_lines(3, step_ms=2000),
                                  capacity=1)
-        for _ in range(3):
-            gw.tick()
-            clock.advance(2000)
+        client.lose_reply["post"] = 1
+        gw.tick()
+        client.down = True
+        clock.advance(2000)
+        gw.tick()
+        assert [r["seq"] for r in gw.buffer] == [1]
+        assert gw.dropped == 1
+        client.down = False
+        client.calls.clear()
+        clock.advance(2000)
+        gw.tick()
+        assert client.calls == [("post", HISTORY, LATEST)] * 2 + [
+            ("get", COMMANDS, None)]
         assert history_seqs(client) == [0, 1, 2]
-        assert gw.dropped == 0
 
     def test_one_store_write_per_record(self, client):
         gw, clock = make_gateway(client, trace_lines(3, step_ms=2000))

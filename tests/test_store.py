@@ -25,11 +25,11 @@ from smartbag.dataset import default_profiles
 from smartbag.frames import SimulatorSource
 from smartbag.gateway import Gateway, GatewayConfig, to_record
 from smartbag.store import (
-    MAX_BODY_BYTES, MAX_DOC_DEPTH, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
+    MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
     StoreUnavailable, merge_docs,
 )
 
-from conftest import FaultyClient, run_python
+from conftest import TRICKY_DOCS, FaultyClient, nested, run_python
 
 
 def wal(records) -> bytes:
@@ -259,25 +259,6 @@ class TestHistory:
         assert len(merged) == 400 and all(merged)
         assert store.get("h/latest") == {
             **{f"w{w}": 49 for w in range(8)}, "pad": pad}
-
-
-def nested(depth: int) -> dict:
-    """A document of objects nested `depth` levels deep."""
-    doc = {}
-    for _ in range(depth - 1):
-        doc = {"n": doc}
-    return doc
-
-
-# documents whose JSON text is easy to get wrong: non-ASCII text, -0.0 and
-# extreme floats, ints past 64 bits, and what JSON cannot keep as it is
-# (tuples, int keys)
-TRICKY_DOCS = {
-    "non-ascii": {"text": "bag \u00e9t\u00e9 \u2603 \U0001f392", "\u00fc": "key"},
-    "floats": {"floats": [0.1, 1e-300, -0.0, 1.5e308, 2.0 ** 0.5]},
-    "big-ints": {"ints": [2 ** 64, -(10 ** 30), 0]},
-    "tuples-int-keys": {"pair": (1, 2), 7: {8: ("nested", 9.25)}},
-}
 
 
 def random_ops(rng, n):
@@ -1125,124 +1106,6 @@ class TestHttpClientFailures:
         if out.startswith("low hard limit"):
             pytest.skip("hard RLIMIT_NOFILE below 1200")
         assert out == "ok\n"
-
-
-def test_client_contract(client):
-    # merge-PATCH returns the merged document
-    assert client.patch("bags/c/latest", {"a": 1, "n": {"x": 1}}) == \
-        {"a": 1, "n": {"x": 1}}
-    assert client.patch("bags/c/latest", {"n": {"y": 2}}) == \
-        {"a": 1, "n": {"x": 1, "y": 2}}
-    assert client.get("bags/c/latest") == {"a": 1, "n": {"x": 1, "y": 2}}
-    assert client.get("bags/none/latest") is None
-
-    ids = [client.post("bags/c/history", {"i": i})["name"] for i in range(4)]
-    assert all(a < b for a, b in zip(ids, ids[1:]))
-    history = client.get_history("bags/c/history")
-    assert [e.push_id for e in history] == ids
-    assert [e.doc for e in history] == [{"i": i} for i in range(4)]
-    assert [e.push_id for e in client.get_history(
-        "bags/c/history", since=ids[1])] == ids[2:]
-    assert [e.push_id for e in client.get_history(
-        "bags/c/history", since=ids[0], limit=2)] == ids[1:3]
-    assert [e.push_id for e in client.get_history(
-        "bags/c/history", limit=1)] == ids[:1]
-    assert client.get_history("bags/c/history", since=ids[-1]) == []
-    assert client.get_history("bags/c/history", limit=0) == []
-    assert client.get_history("bags/none/history") == []
-    with pytest.raises(ValueError):
-        client.get_history("bags/c/history", limit=-1)
-
-    # one path with both a document and a history: each read gets its own
-    client.patch("bags/c/both", {"d": 1})
-    both = client.post("bags/c/both", {"h": 1})["name"]
-    assert client.get("bags/c/both") == {"d": 1}
-    assert [(e.push_id, e.doc) for e in client.get_history("bags/c/both")] \
-        == [(both, {"h": 1})]
-
-    # a trailing newline is not part of a whole segment
-    for bad in ("bags/no such/latest", "bags/x\n"):
-        for call in (lambda: client.get(bad), lambda: client.patch(bad, {}),
-                     lambda: client.post(bad, {}),
-                     lambda: client.get_history(bad)):
-            with pytest.raises(ValueError):
-                call()
-
-    # no aliasing: documents passed in or handed out are the caller's own
-    sent = {"n": {"x": 1}}
-    returned = client.patch("bags/d/latest", sent)
-    sent["n"]["x"] = 2
-    returned["n"]["x"] = 3
-    client.get("bags/d/latest")["n"]["x"] = 4
-    assert client.get("bags/d/latest") == {"n": {"x": 1}}
-    entry = {"n": {"x": 1}}
-    client.post("bags/d/history", entry)
-    entry["n"]["x"] = 2
-    assert client.get_history("bags/d/history")[0].doc == {"n": {"x": 1}}
-
-    # post with `latest`: one write appends the entry and merges it into
-    # the document, as a patch of the same body would
-    client.patch("bags/e/latest", {"activity": "Walking", "n": {"x": 1}})
-    sent = {"seq": 1, "n": {"y": 2}, "gps": {"lat": 3}}
-    pushed = client.post("bags/e/history", sent, latest="bags/e/latest")
-    merged = {"activity": "Walking", "seq": 1, "n": {"x": 1, "y": 2},
-              "gps": {"lat": 3}}
-    assert client.get("bags/e/latest") == merged
-    assert [(e.push_id, e.doc) for e in client.get_history(
-        "bags/e/history")] == [(pushed["name"],
-                                {"seq": 1, "n": {"y": 2}, "gps": {"lat": 3}})]
-    # no aliasing: the caller's document, a read copy, and later merges
-    # into `latest` leave the entry and the document as they were written
-    sent["gps"]["lat"] = 4
-    client.get("bags/e/latest")["gps"]["lat"] = 5
-    assert client.get("bags/e/latest") == merged
-    client.patch("bags/e/latest", {"gps": {"lat": 6}, "n": {"x": 7}})
-    assert client.get_history("bags/e/history")[0].doc == \
-        {"seq": 1, "n": {"y": 2}, "gps": {"lat": 3}}
-    assert client.get("bags/e/latest") == dict(
-        merged, gps={"lat": 6}, n={"x": 7, "y": 2})
-    # a bad `latest` path is refused, and nothing is written
-    for latest in ("bags/no such/latest", ""):
-        with pytest.raises(ValueError):
-            client.post("bags/e/history", {"seq": 2}, latest=latest)
-    assert len(client.get_history("bags/e/history")) == 1
-    assert client.get("bags/e/latest")["seq"] == 1
-
-    # a document nested past the bound is refused, and nothing is written;
-    # one at the bound round-trips
-    for too_deep in (nested(MAX_DOC_DEPTH + 1), nested(520)):
-        with pytest.raises(ValueError):
-            client.patch("bags/f/latest", too_deep)
-        with pytest.raises(ValueError):
-            client.post("bags/f/history", too_deep, latest="bags/f/latest")
-    assert client.get("bags/f/latest") is None
-    assert client.get_history("bags/f/history") == []
-    deepest = nested(MAX_DOC_DEPTH)
-    assert client.patch("bags/f/latest", deepest) == deepest
-    assert client.get("bags/f/latest") == deepest
-    client.post("bags/f/history", deepest)
-    assert client.get_history("bags/f/history")[0].doc == deepest
-    # the bound is on depth, not on how many objects and arrays there are
-    wide = {"rows": [{"i": [i]} for i in range(2 * MAX_DOC_DEPTH)],
-            "text": "{[" * MAX_DOC_DEPTH}
-    assert client.patch("bags/f/wide", wide) == wide
-    client.post("bags/f/history", wide)
-    assert client.get_history("bags/f/history")[1].doc == wide
-
-
-@pytest.mark.parametrize("doc", TRICKY_DOCS.values(), ids=TRICKY_DOCS.keys())
-def test_tricky_documents_read_alike_over_http(server, make_client, doc):
-    # HTTP replies decode to what the in-process store hands out: the same
-    # values, types, key order and sign of zero
-    def reads(client):
-        client.post("h/s", doc, latest="p/y")
-        return [client.get_history("h/s")[0].doc, client.get("p/y"),
-                client.patch("p/y", doc), client.get("p/y")]
-
-    in_process = reads(Store())
-    over_http = reads(make_client(server.base_url))
-    assert json.dumps(over_http) == json.dumps(in_process)
-    assert in_process == [json.loads(json.dumps(doc))] * 4
 
 
 def test_clients_hand_out_the_logged_text(tmp_path, make_client):
