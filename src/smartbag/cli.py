@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import signal
 import sys
 
 from . import alerts, dataset, files, frames, nn
@@ -297,6 +298,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
+    # a service stops on SIGTERM as on SIGINT, and only while it runs
+    service = args.func in (cmd_store, cmd_gateway, cmd_alerts)
+    if service:
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except UsageError as e:
@@ -305,6 +310,9 @@ def main(argv=None) -> int:
     except OperationalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if service:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,13 @@ telemetry record, carrying an SOS or water flag from any frame of the
 period, and appended to a buffer; one drain loop (`flush`) then pushes each
 buffered record, oldest first, with one store write that appends it to
 `bags/<device>/history` and merges it into `bags/<device>/latest`, and
-stops at the first failure. A record whose write raised may have landed
-with only its reply lost, so it is looked up in `latest` before it is
-sent again. While the store is unreachable the buffer keeps
-the newest `buffer_capacity` records and counts the ones it drops. The
-gateway also polls `bags/<device>/commands` for the find-my-bag alarm flag,
-acknowledges it, and delivers an ALARM_TRIGGERED `AlertEvent` to its sinks.
+stops at the first failure. A record whose write did not return, by an
+error or an interrupt, may have landed with only its reply lost, so it is
+looked up in `latest` before it is sent again. While the store is
+unreachable the buffer keeps the newest `buffer_capacity` records and
+counts the ones it drops. The gateway also polls `bags/<device>/commands`
+for the find-my-bag alarm flag, acknowledges it, and delivers an
+ALARM_TRIGGERED `AlertEvent` to its sinks.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Gateway:
         self.dropped = 0
         self.pushed_history = 0
         self.alarm_events = []
-        self._unsure = None  # the record whose push raised
+        self._unsure = None  # the record last sent, landed or not
 
     # -- alarm command loop ----------------------------------------------
 
@@ -126,9 +127,9 @@ class Gateway:
             record = self.buffer[0]
             try:
                 if record is not self._unsure or not self._landed(record):
+                    self._unsure = record
                     self._push(record)
             except StoreUnavailable:
-                self._unsure = record
                 return
             self.pushed_history += 1
             self.buffer.popleft()

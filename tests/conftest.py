@@ -19,16 +19,22 @@ from smartbag.store import (
 )
 
 
-def run_python(code: str, unset=()) -> str:
-    """Run code in a fresh interpreter that imports smartbag from src/,
-    without the environment variables named in `unset`; returns what it
-    printed."""
+def python_env(unset=()) -> dict:
+    """The environment of a fresh interpreter that imports smartbag from
+    src/, without the environment variables named in `unset`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          timeout=60, stdout=subprocess.PIPE, text=True).stdout
+    return env
+
+
+def run_python(code: str, unset=()) -> str:
+    """Run code in a fresh interpreter of `python_env(unset)`; returns what
+    it printed."""
+    return subprocess.run([sys.executable, "-c", code], env=python_env(unset),
+                          check=True, timeout=60, stdout=subprocess.PIPE,
+                          text=True).stdout
 
 
 def nested(depth: int) -> dict:
@@ -55,12 +61,15 @@ class FaultyClient:
     call as (method, path, latest) in `calls`. While `down` is set, a call
     raises StoreUnavailable before it reaches the store; so do the next
     `refuse[method]` calls of a method, and the next `lose_reply[method]`
-    reach the store and then raise, as when the reply is lost."""
+    reach the store and then raise, as when the reply is lost. The next
+    `interrupt[method]` reach the store and then raise KeyboardInterrupt,
+    as a SIGINT or SIGTERM does that lands before the reply is read."""
 
     def __init__(self, client, store: Store):
         self.client, self.store = client, store
         self.calls, self.down = [], False
         self.refuse, self.lose_reply = Counter(), Counter()
+        self.interrupt = Counter()
 
     def _call(self, method, path, latest, *args):
         self.calls.append((method, path, latest))
@@ -73,6 +82,9 @@ class FaultyClient:
         if self.lose_reply[method] > 0:
             self.lose_reply[method] -= 1
             raise StoreUnavailable(f"{method} reply lost")
+        if self.interrupt[method] > 0:
+            self.interrupt[method] -= 1
+            raise KeyboardInterrupt
         return reply
 
     def patch(self, path: str, doc: dict) -> dict:

@@ -1,11 +1,7 @@
 import json
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
 from smartbag import alerts, nn
 from smartbag.alerts import (
@@ -247,18 +243,6 @@ class TestAlertService(OverStore):
         assert service2.poll_once() == 0
         assert len([e for e in log.read() if e["kind"] == "SOS"]) == 1
 
-    def test_restart_keeps_dedup(self, model_file, tmp_path, client):
-        service, _, log, _ = make_service(model_file, tmp_path, client)
-        idle = default_profiles()[0]
-        append(client, record_from_features(idle.mean, ts=0, sos=1))
-        service.poll_once()
-        # the second press is inside the first one's window, and the new
-        # service reads that window from the cursor file
-        service2, _, _, _ = make_service(model_file, tmp_path, client)
-        append(client, record_from_features(idle.mean, ts=10_000, sos=1))
-        assert service2.poll_once() == 1
-        assert [e["ts"] for e in log.read() if e["kind"] == "SOS"] == [0]
-
     def test_one_poll_keeps_distinct_presses(self, model_file,
                                              tmp_path, client):
         service, _, log, _ = make_service(model_file, tmp_path, client)
@@ -427,48 +411,6 @@ class TestAlertServiceOverHttp(TestAlertService):
     test_refuses_model_of_wrong_width = None
     test_torn_cursor_file_starts_without_cursor = None
     test_poll_reads_history_in_pages = None
-
-
-# one history record: the step from the previous record's ts (a step back
-# is a bag clock set back), its SOS and water flags, and what follows it
-history_steps = st.lists(st.tuples(
-    st.one_of(st.integers(0, 60_000), st.integers(-60_000, -1),
-              st.sampled_from([29_999, 30_000])),
-    st.booleans(), st.booleans(),
-    st.sampled_from(["append", "poll", "restart"])), max_size=30)
-
-
-@seed(23)
-@settings(max_examples=60, deadline=None, database=None)
-@given(steps=history_steps, data=st.data())
-def test_notifications_follow_the_history_alone(model_file, trained_model_blob,
-                                                steps, data):
-    """However the history is split into polls and pages, and however often
-    the service restarts on its cursor file, it logs the events of one
-    eval_rules fold over the whole history."""
-    idle = default_profiles()[0]
-    model, _, vocabulary = nn.import_model(trained_model_blob)
-    store, ts, expected, state = Store(), 0, [], {}
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        service, _, log, _ = make_service(model_file, Path(tmp), store=store)
-        for step, sos, water, then in steps:
-            ts += step
-            features = idle.mean.copy()
-            features[-1] = float(water)
-            record = record_from_features(features, ts=ts, sos=int(sos))
-            store.append_history("bags/BAG1/history", record)
-            activity, _ = classify_record(model, vocabulary, record)
-            expected += [e.to_json() for e in eval_rules(
-                record, activity, AlertRuleSet(), state)]
-            if then == "restart":
-                service, _, _, _ = make_service(model_file, Path(tmp),
-                                                store=store)
-            elif then == "poll":
-                mp.setattr(alerts, "HISTORY_PAGE",
-                           data.draw(st.integers(1, 4), label="page"))
-                service.poll_once()
-        service.poll_once()
-        assert log.read() == expected
 
 
 class Stop(Exception):

@@ -7,9 +7,8 @@ from smartbag.alerts import NotificationLog
 from smartbag.clock import VirtualClock
 from smartbag.frames import SensorFrame, TraceSource, encode_frame
 from smartbag.gateway import Gateway, GatewayConfig, to_record
-from smartbag.store import HttpStoreClient, Store
 
-from conftest import OverStore, serve
+from conftest import OverStore
 from test_frames import random_frame
 
 HISTORY = "bags/BAG1/history"
@@ -198,18 +197,6 @@ class TestPushLoop(OverStore):
         assert client.get(LATEST)["seq"] == 2
         assert gw.dropped == 0 and not gw.buffer
 
-    def test_lost_reply_does_not_duplicate_the_entry(self, client):
-        gw, clock = make_gateway(client, trace_lines(7))
-        gw.tick()
-        client.lose_reply["post"] = 1
-        for _ in range(3):
-            clock.advance(2000)
-            gw.tick()
-        # the record whose reply was lost is found in `latest`, not posted
-        # again
-        seqs = history_seqs(client)
-        assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
-
     def test_lost_reply_settled_once_the_store_is_back(self, client):
         gw, clock = make_gateway(client, trace_lines(7))
         gw.tick()
@@ -275,36 +262,6 @@ class TestPushLoop(OverStore):
 
 class TestPushLoopOverHttp(TestPushLoop):
     kind = "http"
-
-
-def test_push_across_a_store_restart(tmp_path):
-    # the store is stopped for three ticks, then a new one on the same log
-    # and port takes over; the gateway's client reconnects to it
-    log = str(tmp_path / "s.wal")
-    srv = serve(Store(log_path=log))
-    port = srv.httpd.server_address[1]
-    http = HttpStoreClient(srv.base_url)
-    gw, clock = make_gateway(http, trace_lines(12))
-    try:
-        for i in range(8):
-            if i == 2:
-                srv.stop()
-                srv = None
-            elif i == 5:
-                srv = serve(Store(log_path=log), port)
-            gw.tick()
-            clock.advance(2000)
-            if i == 4:  # the outage's three records wait for the new store
-                assert len(gw.buffer) == 3
-        assert not gw.buffer and gw.dropped == 0
-        seqs = history_seqs(http)
-        assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
-        assert seqs == [0, 2, 4, 6, 8, 10, 11]
-        assert http.get(LATEST) == http.get_history(HISTORY)[-1].doc
-    finally:
-        http.close()
-        if srv is not None:
-            srv.stop()
 
 
 class TestAlarmAck(OverStore):
