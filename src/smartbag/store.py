@@ -21,13 +21,14 @@ as a tree of dicts and floats.
 
 Services talk to a store through four client methods, which `Store` and
 `HttpStoreClient` both implement with the same signatures: `patch(path,
-doc)` returns the merged document, `get(path)` returns it or None,
-`post(path, doc, latest=None)` appends to a history and returns `{"name":
-push_id}`, and `get_history(path, since=None, limit=None)` returns
-`HistoryEntry`s oldest first. A `post` that names a `latest` document path
-also merges the entry into that document, as a `patch` would, under the
-same lock and in the same log record: a crash leaves both effects or
-neither, and the gateway pushes a reading with one request. A malformed
+doc)` merges `doc` into the document and returns None, `get(path)` returns
+the merged document or None, `post(path, doc, latest=None)` appends to a
+history and returns `{"name": push_id}`, and `get_history(path,
+since=None, limit=None)` returns `HistoryEntry`s oldest first. A `post`
+that names a `latest` document path also merges the entry into that
+document, as a `patch` would, under the same lock and in the same log
+record: a crash leaves both effects or neither, and the gateway pushes a
+reading with one request. A malformed
 path, `latest` included, raises ValueError before anything is written; an
 unreachable store raises StoreUnavailable. A store keeps the JSON form of
 what it logged, with or without a log: each write serializes its record
@@ -36,8 +37,8 @@ does, so a tuple is kept as a list and an int key as a string. A refused
 write is undone: a document JSON cannot hold, or one that nests objects and
 arrays deeper than MAX_DOC_DEPTH (64) levels, raises BadDocument, and a
 failed log append is cut from the log and raises StoreUnavailable. A closed
-store with a log refuses every write with StoreUnavailable. `patch` and
-`get` return copies and `get_history` the store's immutable entries, so
+store with a log refuses every write with StoreUnavailable. `get`
+returns a copy and `get_history` the store's immutable entries, so
 changing a document read changes nothing in the store. Replay skips a
 record whose document nests deeper than MAX_DOC_DEPTH, which only a log
 written before that bound can hold, with a warning that gives its offset;
@@ -49,14 +50,18 @@ object, built on the standard library's `http.client`. A client is not
 shared between threads; give each thread its own. A request is never sent
 twice on the client's own initiative: a refused, reset or timed-out
 exchange and any 5xx reply raise StoreUnavailable, and the caller decides
-whether to retry. The HTTP stack loads only when a connection or server is
-built: `http.client` (which loads `ssl`) in `JsonConnection`, `http.server`
-(which loads `email`) in `StoreServer`. A process that builds or evaluates
-models, or uses an in-process `Store`, imports neither.
+whether to retry. After an interrupt that lands between a request and the
+start of its reply, the next request waits for that reply on the same
+connection, so it cannot overtake the interrupted one. The HTTP stack loads
+only when a connection or server is built: `http.client` (which loads
+`ssl`) in `JsonConnection`, `http.server` (which loads `email`) in
+`StoreServer`. A process that builds or evaluates models, or uses an
+in-process `Store`, imports neither.
 
 HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
 
-    PATCH /bags/{id}/latest.json          merge body into the document
+    PATCH /bags/{id}/latest.json          merge body into the document,
+                                          returns null
     GET   /bags/{id}/latest.json          current document or 404
     POST  /bags/{id}/history.json         append, returns {"name": pushId}
     POST  /bags/{id}/history.json?latest=bags/{id}/latest
@@ -69,15 +74,15 @@ list of `{"id","ts","doc"}` objects, each `doc` an entry's logged text as
 it is, empty for a path with no history. `since=` (empty) reads from the
 start, since the empty string sorts before every push id.
 
-The server answers 200 with the result; 404 to a GET of a document never
-written; 413 to a body over MAX_BODY_BYTES; 503 when the store cannot log a
-write, which wrote nothing and is safe to resend; 500 to any other fault,
-which it logs, and where a write may have been applied; and 400 to a path
-without `.json`, a malformed path or `latest`, a bad `limit`, a body that
-is not UTF-8 JSON or not an object, a document over MAX_DOC_DEPTH levels
-deep, a bad `Content-Length`, a chunked body, or a GET with a body, where
-the last three and the 413, which leave a body unread, also close the
-connection.
+The server answers 200 with the result, `null` to a PATCH; 404 to a GET of
+a document never written; 413 to a body over MAX_BODY_BYTES; 503 when the
+store cannot log a write, which wrote nothing and is safe to resend; 500 to
+any other fault, which it logs, and where a write may have been applied;
+and 400 to a path without `.json`, a malformed path or `latest`, a bad
+`limit`, a body that is not UTF-8 JSON or not an object, a document over
+MAX_DOC_DEPTH levels deep, a bad `Content-Length`, a chunked body, or a GET
+with a body, where the last three and the 413, which leave a body unread,
+also close the connection.
 """
 
 from __future__ import annotations
@@ -302,14 +307,13 @@ class Store:
 
     # -- operations -------------------------------------------------------
 
-    def patch(self, path: str, doc: dict) -> dict:
+    def patch(self, path: str, doc: dict) -> None:
+        """Merge `doc` into the document at `path`; `get` reads the result."""
         if not isinstance(doc, dict):
             raise BadDocument("PATCH body must be a JSON object")
-        segments = parse_path(path)
-        record = {"op": "patch", "path": list(segments), "doc": doc}
+        record = {"op": "patch", "path": list(parse_path(path)), "doc": doc}
         with self._lock:
             self._commit(record)
-            return copy.deepcopy(self.docs[segments])
 
     def get(self, path: str) -> dict | None:
         """Last merged document, or None when the path was never written."""
@@ -446,9 +450,9 @@ class _Handler:
             raise _Refused(400, "body is not valid JSON") from None
 
     def do_PATCH(self):
-        def patch():
+        def patch():  # answers null: a GET reads the merged document
             doc = self._body()
-            return self.store.patch(self._path()[0], doc)
+            self.store.patch(self._path()[0], doc)
         self._serve(patch)
 
     def do_POST(self):
@@ -483,6 +487,18 @@ class _Handler:
         self._serve(read)
 
 
+# the stages of an exchange an interrupt can leave open
+_SENDING, _SENT, _ANSWERED = "sending", "sent", "answered"
+
+
+def _readable(sock, timeout_ms) -> bool:
+    """Whether `sock` has bytes to read, or was closed by its peer, within
+    `timeout_ms`. poll, unlike select, takes file descriptors past 1023."""
+    ready = select.poll()
+    ready.register(sock, select.POLLIN)
+    return bool(ready.poll(timeout_ms))
+
+
 class JsonConnection:
     """JSON requests to one http(s) URL over one kept-alive connection.
 
@@ -505,11 +521,21 @@ class JsonConnection:
         self._query = parts.query
         self._conn = conn_class(parts.hostname, parts.port, timeout=timeout)
         self._failures = (OSError, HTTPException)
+        # how far the open exchange got: None (none is open), _SENDING,
+        # _SENT or _ANSWERED. One an interrupt cut off stays open until
+        # the next request settles it.
+        self._stage = None
 
     def request(self, method: str, path: str = "", doc=None, query=None):
         """Send one request with `doc` as its JSON body; returns the reply's
         (status, body bytes, headers). Raises StoreUnavailable when the
-        exchange fails, without sending the request again."""
+        exchange fails, without sending the request again.
+
+        An interrupt (SIGINT, SIGTERM) that lands during an exchange leaves
+        it open, and the next request settles it first (`_settle`), so that
+        it cannot overtake the interrupted one: a read-back sent on a new
+        connection while a write is still in flight could miss it, and
+        the write be sent again."""
         target = quote(self._prefix + path, safe=self._PATH_SAFE) or "/"
         query = "&".join(q for q in (self._query, urlencode(query or {})) if q)
         if query:
@@ -518,25 +544,49 @@ class JsonConnection:
         if doc is not None:
             body = json.dumps(doc).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        sock = self._conn.sock
-        if sock is not None:
-            # an idle kept-alive socket that polls ready was closed by the
-            # peer; open a new one rather than send into it. poll, unlike
-            # select, takes file descriptors past 1023.
-            idle = select.poll()
-            idle.register(sock, select.POLLIN)
-            if idle.poll(0):
-                self._conn.close()
         try:
+            self._settle()
+            sock = self._conn.sock
+            if sock is not None and _readable(sock, 0):
+                # an idle kept-alive socket that polls ready was closed by
+                # the peer; open a new one rather than send into it
+                self._conn.close()
+            self._stage = _SENDING
             self._conn.request(method, target, body=body, headers=headers)
-            resp = self._conn.getresponse()
-            return resp.status, resp.read(), resp.headers
+            self._stage = _SENT
+            return self._read_reply()
         except self._failures as e:
-            self._conn.close()
+            self.close()
             raise StoreUnavailable(f"{method} {target}: {e!r}") from None
+
+    def _settle(self) -> None:
+        """Close the exchange an interrupt left open."""
+        if self._stage is _SENDING:  # how much of it went out is unknown
+            raise ConnectionError("the last request was interrupted while "
+                                  "it was sent")
+        if self._stage is _SENT:  # no reply yet: wait for it here
+            self._read_reply()
+        elif self._stage is _ANSWERED:
+            # the peer began to answer, so it is done with the request; the
+            # reply, which parsing may have consumed in part, goes unread
+            self._conn.close()
+            self._stage = None
+
+    def _read_reply(self) -> tuple:
+        """Wait for the reply to the request sent last, then read it:
+        (status, body bytes, headers). Until the reply starts, an interrupt
+        consumes none of it."""
+        if not _readable(self._conn.sock, self._conn.timeout * 1000):
+            raise TimeoutError("no reply")
+        self._stage = _ANSWERED
+        resp = self._conn.getresponse()
+        data = resp.read()
+        self._stage = None
+        return resp.status, data, resp.headers
 
     def close(self) -> None:
         self._conn.close()
+        self._stage = None
 
 
 class HttpStoreClient:
@@ -562,8 +612,8 @@ class HttpStoreClient:
         text = self._reply_text(method, path, doc, query)
         return None if text is None else json.loads(text)
 
-    def patch(self, path: str, doc: dict) -> dict:
-        return self._request("PATCH", path, doc)
+    def patch(self, path: str, doc: dict) -> None:
+        self._request("PATCH", path, doc)
 
     def post(self, path: str, doc: dict, latest: str | None = None) -> dict:
         query = None if latest is None else {"latest": latest}

@@ -87,7 +87,7 @@ class FaultyClient:
             raise KeyboardInterrupt
         return reply
 
-    def patch(self, path: str, doc: dict) -> dict:
+    def patch(self, path: str, doc: dict) -> None:
         return self._call("patch", path, None, doc)
 
     def get(self, path: str) -> dict | None:

@@ -29,7 +29,7 @@ from smartbag.store import (
     StoreUnavailable, merge_docs,
 )
 
-from conftest import TRICKY_DOCS, FaultyClient, nested, run_python
+from conftest import TRICKY_DOCS, FaultyClient, nested, run_python, serve
 
 
 def wal(records) -> bytes:
@@ -78,7 +78,7 @@ class TestMerge:
     def test_overwrite(self):
         store = Store()
         store.patch("p/x", {"a": 1})
-        assert store.patch("p/x", {"a": 2}) == {"a": 2}
+        assert store.patch("p/x", {"a": 2}) is None
         assert store.get("p/x") == {"a": 2}
 
     def test_non_object_rejected(self):
@@ -448,8 +448,8 @@ class TestDurability:
         log = tmp_path / "store.wal"
         stores = (Store(), open_store(log))
         for store in stores:
-            assert store.patch("p/x", {"pair": (1, 2), 7: "int key"}) == \
-                {"pair": [1, 2], "7": "int key"}
+            store.patch("p/x", {"pair": (1, 2), 7: "int key"})
+            assert store.get("p/x") == {"pair": [1, 2], "7": "int key"}
             store.append_history("h/s", {"pair": (3, 4), 8: {9: "nested"}},
                                  latest="p/y")
             assert store.get("p/y") == {"pair": [3, 4], "8": {"9": "nested"}}
@@ -554,7 +554,8 @@ class TestDurability:
             with pytest.raises(BadDocument):
                 store.append_history("h/s", doc, latest="p/x")
             assert store.docs == {} and store.history == {}
-            assert store.patch("p/x", {"n": 1}) == {"n": 1}
+            store.patch("p/x", {"n": 1})
+            assert store.get("p/x") == {"n": 1}
         assert open_store(log).docs == {("p", "x"): {"n": 1}}
 
     @pytest.mark.parametrize("room", [0, 100],
@@ -620,7 +621,8 @@ class TestDurability:
         assert store.get("p/x") == {"n": 1} and store.history == {}
         restarted = open_store(log)
         assert restarted.get("p/x") == {"n": 1}
-        assert restarted.patch("p/x", {"n": 4}) == {"n": 4}
+        restarted.patch("p/x", {"n": 4})
+        assert restarted.get("p/x") == {"n": 4}
 
     def test_closed_store_refuses_writes(self, tmp_path, open_store):
         log = tmp_path / "store.wal"
@@ -673,6 +675,15 @@ class TestHttp:
         assert resp.status_code == 200
         requests.patch(url, json={"b": {"x": 2}})
         assert requests.get(url).json() == {"a": 1, "b": {"x": 2}}
+
+    def test_patch_replies_null(self, server):
+        url = f"{server.base_url}/bags/b1/latest.json"
+        requests.patch(url, json={"a": 1, "b": {"x": 1}})
+        resp = requests.patch(url, json={"b": {"y": 2}})
+        assert resp.status_code == 200
+        assert resp.content == b"null"
+        assert resp.headers["Content-Length"] == "4"
+        assert requests.get(url).json() == {"a": 1, "b": {"x": 1, "y": 2}}
 
     def test_missing_json_suffix(self, server):
         resp = requests.get(f"{server.base_url}/bags/b1/latest")
@@ -1066,7 +1077,8 @@ class TestHttpClientFailures:
         try:
             # the kept-alive connection died with the first server; the
             # write must reach the running store and its log
-            assert client.patch("bags/a/latest", {"w": 2}) == {"v": 1, "w": 2}
+            client.patch("bags/a/latest", {"w": 2})
+            assert client.get("bags/a/latest") == {"v": 1, "w": 2}
             assert second.store.get("bags/a/latest") == {"v": 1, "w": 2}
         finally:
             second.stop()
@@ -1090,13 +1102,14 @@ class TestHttpClientFailures:
             held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
             first = StoreServer(Store()).start()
             client = HttpStoreClient(first.base_url)
-            assert client.patch("bags/a/latest", {"v": 1}) == {"v": 1}
+            client.patch("bags/a/latest", {"v": 1})
             assert client.http._conn.sock.fileno() > 1023
             assert client.get("bags/a/latest") == {"v": 1}
             port = first.httpd.server_address[1]
             first.stop()
             second = StoreServer(Store(), port=port).start()
-            assert client.patch("bags/a/latest", {"w": 2}) == {"w": 2}
+            client.patch("bags/a/latest", {"w": 2})
+            assert client.get("bags/a/latest") == {"w": 2}
             client.close()
             second.stop()
             for fd in held:
@@ -1106,6 +1119,115 @@ class TestHttpClientFailures:
         if out.startswith("low hard limit"):
             pytest.skip("hard RLIMIT_NOFILE below 1200")
         assert out == "ok\n"
+
+
+class TestInterruptedExchange:
+    """A KeyboardInterrupt, which SIGINT and SIGTERM raise in the services,
+    that lands during a push; the read-back after it must get its own reply
+    and see the push."""
+
+    class SlowStore(Store):
+        """Holds each history append until `go` is set."""
+
+        def __init__(self):
+            super().__init__()
+            self.go = threading.Event()
+
+        def append_history(self, *args, **kwargs):
+            assert self.go.wait(10)
+            return super().append_history(*args, **kwargs)
+
+    @pytest.fixture
+    def live(self, make_client):
+        srv = serve(self.SlowStore())
+        client = make_client(srv.base_url)
+        assert client.get("bags/a/latest") is None  # opens the connection
+        yield srv, client, client.http._conn
+        srv.store.go.set()
+        srv.stop()
+
+    @staticmethod
+    def push(client) -> None:
+        with pytest.raises(KeyboardInterrupt):
+            client.post("bags/a/history", {"n": 1}, latest="bags/a/latest")
+
+    @staticmethod
+    def check_read_back(client) -> None:
+        assert client.get("bags/a/latest") == {"n": 1}
+        assert [e.doc for e in client.get_history("bags/a/history")] == \
+            [{"n": 1}]
+
+    def test_before_the_reply_the_read_back_waits_for_it(self, live,
+                                                         monkeypatch):
+        # the store holds the push while the read-back is sent: on a new
+        # connection the read-back would overtake it and miss the record
+        srv, client, conn = live
+        sock, readable, waits = conn.sock, store_module._readable, []
+
+        def interrupted(sock, timeout_ms):  # the wait for the push's reply
+            if timeout_ms and not waits:
+                waits.append(timeout_ms)
+                raise KeyboardInterrupt
+            return readable(sock, timeout_ms)
+
+        monkeypatch.setattr(store_module, "_readable", interrupted)
+        self.push(client)
+        release = threading.Timer(0.2, srv.store.go.set)
+        release.start()
+        self.check_read_back(client)
+        assert conn.sock is sock
+        release.join(5)
+
+    @pytest.mark.parametrize("stage", ["status line", "torn", "body"])
+    def test_once_the_reply_starts_the_read_back_goes_through(
+            self, live, stage):
+        # the store began to answer the push, so it is done with it; the
+        # rest of that reply is dropped with the connection
+        srv, client, conn = live
+        srv.store.go.set()
+        getresponse = conn.getresponse
+
+        def interrupted():
+            conn.getresponse = getresponse  # later calls go through
+            if stage == "torn":
+                conn.sock.recv(5)  # the start of the status line, lost
+            if stage != "body":
+                raise KeyboardInterrupt
+            resp = getresponse()
+            resp.read = raise_once(resp.read)
+            return resp
+
+        conn.getresponse = interrupted
+        self.push(client)
+        self.check_read_back(client)
+
+    def test_request_interrupted_while_sent(self, live):
+        # the client cannot tell how much of the request went out, so the
+        # next request is refused rather than sent on a new connection
+        srv, client, conn = live
+        srv.store.go.set()
+        conn.request = raise_once(conn.request, after=True)
+        self.push(client)
+        with pytest.raises(StoreUnavailable, match="interrupted"):
+            client.get("bags/a/latest")
+        assert conn.sock is None
+        self.check_read_back(client)
+
+
+def raise_once(fn, after=False):
+    """`fn`, except that its first call raises KeyboardInterrupt: before
+    `fn` runs, or with `after`, once it has returned."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1 and not after:
+            raise KeyboardInterrupt
+        result = fn(*args, **kwargs)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return result
+    return wrapper
 
 
 def test_clients_hand_out_the_logged_text(tmp_path, make_client):

@@ -140,8 +140,10 @@ class StoreModel(RuleBasedStateMachine):
         ok = path in GOOD_PATHS and doc not in TOO_DEEP
         reply = self.both(ok, "patch", path, doc)
         if ok:
+            # the merged document is checked against the oracle after
+            # every step, and read by the `get` rule
+            assert reply == "null"
             self.docs[path] = merged(self.docs.get(path, {}), json_form(doc))
-            assert reply == json.dumps(self.docs[path])
 
     @rule(path=PATHS, doc=DOCS, latest=st.none() | st.just("") | PATHS)
     def post(self, path, doc, latest):
