@@ -239,6 +239,9 @@ class WebhookSink:
             self.clock.sleep_ms(min(wait, self.MAX_WAIT_MS))
         logger.warning("webhook delivery failed after %d tries", self.MAX_TRIES)
 
+    def close(self) -> None:
+        self.http.close()
+
 
 @dataclass
 class AlertServiceConfig:

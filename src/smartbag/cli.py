@@ -188,8 +188,8 @@ def cmd_alerts(args) -> int:
             pass
     finally:
         client.close()
-        for sink in sinks[1:]:  # the webhook's connection
-            sink.http.close()
+        for sink in sinks[1:]:  # the webhook
+            sink.close()
     return 0
 
 

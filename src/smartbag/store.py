@@ -50,13 +50,11 @@ object, built on the standard library's `http.client`. A client is not
 shared between threads; give each thread its own. A request is never sent
 twice on the client's own initiative: a refused, reset or timed-out
 exchange and any 5xx reply raise StoreUnavailable, and the caller decides
-whether to retry. After an interrupt that lands between a request and the
-start of its reply, the next request waits for that reply on the same
-connection, so it cannot overtake the interrupted one. The HTTP stack loads
-only when a connection or server is built: `http.client` (which loads
-`ssl`) in `JsonConnection`, `http.server` (which loads `email`) in
-`StoreServer`. A process that builds or evaluates models, or uses an
-in-process `Store`, imports neither.
+whether to retry. On the main thread, SIGINT and SIGTERM wait for the
+exchange to end. The HTTP stack loads only when a connection or server is
+built: `http.client` (which loads `ssl`) in `JsonConnection`, `http.server`
+(which loads `email`) in `StoreServer`. A process that builds or evaluates
+models, or uses an in-process `Store`, imports neither.
 
 HTTP dialect (the `.json` suffix is mandatory; this module owns both ends):
 
@@ -88,14 +86,17 @@ also close the connection.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import copy
 import json
 import logging
 import os
 import re
 import select
+import signal
 import socket
 import struct
+import sys
 import threading
 import zlib
 from dataclasses import dataclass
@@ -487,16 +488,34 @@ class _Handler:
         self._serve(read)
 
 
-# the stages of an exchange an interrupt can leave open
-_SENDING, _SENT, _ANSWERED = "sending", "sent", "answered"
-
-
 def _readable(sock, timeout_ms) -> bool:
     """Whether `sock` has bytes to read, or was closed by its peer, within
     `timeout_ms`. poll, unlike select, takes file descriptors past 1023."""
     ready = select.poll()
     ready.register(sock, select.POLLIN)
     return bool(ready.poll(timeout_ms))
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """Record a SIGINT or SIGTERM that arrives in the block, and raise it
+    again once the previous handlers are back. Holds nothing off the main
+    thread, where no handler runs, or past a handler not set from Python."""
+    held, signums = [], (signal.SIGINT, signal.SIGTERM)
+    if (threading.current_thread() is not threading.main_thread()
+            or None in map(signal.getsignal, signums)):
+        signums = ()
+    try:
+        # each restore runs whatever an earlier one raised, so a signal
+        # between two restores cannot leave a recorder in place
+        with contextlib.ExitStack() as restore:
+            for signum in signums:
+                restore.callback(signal.signal, signum, signal.signal(
+                    signum, lambda signum, frame: held.append(signum)))
+            yield
+    finally:
+        for signum in held:
+            signal.raise_signal(signum)
 
 
 class JsonConnection:
@@ -521,21 +540,15 @@ class JsonConnection:
         self._query = parts.query
         self._conn = conn_class(parts.hostname, parts.port, timeout=timeout)
         self._failures = (OSError, HTTPException)
-        # how far the open exchange got: None (none is open), _SENDING,
-        # _SENT or _ANSWERED. One an interrupt cut off stays open until
-        # the next request settles it.
-        self._stage = None
 
     def request(self, method: str, path: str = "", doc=None, query=None):
         """Send one request with `doc` as its JSON body; returns the reply's
         (status, body bytes, headers). Raises StoreUnavailable when the
         exchange fails, without sending the request again.
 
-        An interrupt (SIGINT, SIGTERM) that lands during an exchange leaves
-        it open, and the next request settles it first (`_settle`), so that
-        it cannot overtake the interrupted one: a read-back sent on a new
-        connection while a write is still in flight could miss it, and
-        the write be sent again."""
+        On the main thread, a SIGINT or SIGTERM waits until the reply is
+        read or the exchange fails, so it never leaves a request half sent
+        or a reply half read; a stop waits at most one timeout."""
         target = quote(self._prefix + path, safe=self._PATH_SAFE) or "/"
         query = "&".join(q for q in (self._query, urlencode(query or {})) if q)
         if query:
@@ -544,49 +557,22 @@ class JsonConnection:
         if doc is not None:
             body = json.dumps(doc).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        try:
-            self._settle()
-            sock = self._conn.sock
-            if sock is not None and _readable(sock, 0):
-                # an idle kept-alive socket that polls ready was closed by
-                # the peer; open a new one rather than send into it
-                self._conn.close()
-            self._stage = _SENDING
-            self._conn.request(method, target, body=body, headers=headers)
-            self._stage = _SENT
-            return self._read_reply()
-        except self._failures as e:
-            self.close()
-            raise StoreUnavailable(f"{method} {target}: {e!r}") from None
-
-    def _settle(self) -> None:
-        """Close the exchange an interrupt left open."""
-        if self._stage is _SENDING:  # how much of it went out is unknown
-            raise ConnectionError("the last request was interrupted while "
-                                  "it was sent")
-        if self._stage is _SENT:  # no reply yet: wait for it here
-            self._read_reply()
-        elif self._stage is _ANSWERED:
-            # the peer began to answer, so it is done with the request; the
-            # reply, which parsing may have consumed in part, goes unread
-            self._conn.close()
-            self._stage = None
-
-    def _read_reply(self) -> tuple:
-        """Wait for the reply to the request sent last, then read it:
-        (status, body bytes, headers). Until the reply starts, an interrupt
-        consumes none of it."""
-        if not _readable(self._conn.sock, self._conn.timeout * 1000):
-            raise TimeoutError("no reply")
-        self._stage = _ANSWERED
-        resp = self._conn.getresponse()
-        data = resp.read()
-        self._stage = None
-        return resp.status, data, resp.headers
+        with _signals_held():
+            try:
+                sock = self._conn.sock
+                if sock is not None and _readable(sock, 0):
+                    # an idle kept-alive socket that polls ready was closed
+                    # by the peer; open a new one rather than send into it
+                    self._conn.close()
+                self._conn.request(method, target, body=body, headers=headers)
+                resp = self._conn.getresponse()
+                return resp.status, resp.read(), resp.headers
+            except self._failures as e:
+                self.close()
+                raise StoreUnavailable(f"{method} {target}: {e!r}") from None
 
     def close(self) -> None:
         self._conn.close()
-        self._stage = None
 
 
 class HttpStoreClient:
@@ -656,6 +642,15 @@ class _HttpServer:
         with self._connections_lock:
             self._connections.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        """Log a fault of a request's thread, in place of a print to stderr;
+        a client that hung up is no fault, and gets one debug line."""
+        error = sys.exc_info()[1]
+        if isinstance(error, (ConnectionResetError, BrokenPipeError)):
+            logger.debug("http: %s hung up: %r", client_address, error)
+        else:
+            logger.exception("http: request from %s failed", client_address)
 
     def server_close(self):
         super().server_close()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -63,7 +64,8 @@ class FaultyClient:
     `refuse[method]` calls of a method, and the next `lose_reply[method]`
     reach the store and then raise, as when the reply is lost. The next
     `interrupt[method]` reach the store and then raise KeyboardInterrupt,
-    as a SIGINT or SIGTERM does that lands before the reply is read."""
+    as a SIGINT or SIGTERM does that `JsonConnection` held during the call
+    and raised once the reply was read."""
 
     def __init__(self, client, store: Store):
         self.client, self.store = client, store
@@ -99,6 +101,13 @@ class FaultyClient:
     def get_history(self, path: str, since: str | None = None,
                     limit: int | None = None) -> list:
         return self._call("get_history", path, None, since, limit)
+
+
+def unused_port() -> int:
+    """A loopback port no socket was bound to a moment ago."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def serve(store: Store, port: int = 0) -> StoreServer:

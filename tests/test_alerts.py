@@ -505,7 +505,7 @@ class TestWebhook:
         clock = WaitLog()
         sink = WebhookSink(counting_server.url + "/hook", clock=clock)
         sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
-        sink.http.close()
+        sink.close()
         assert len(counting_server.requests) == 3
         assert clock.waits == [500, 1000]  # backs off while unreachable
 
@@ -529,7 +529,7 @@ class TestWebhook:
         sink = WebhookSink(counting_server.url + "/hook", clock=clock)
         with caplog.at_level("WARNING", logger="smartbag.alerts"):
             sink.deliver(AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test"))
-        sink.http.close()
+        sink.close()
         tries = len(waits) + 1
         assert len(counting_server.requests) == tries
         assert clock.waits == waits
@@ -542,7 +542,7 @@ class TestWebhook:
         sink = WebhookSink(counting_server.url + "/hooks/a b?key=x%2Fy")
         event = AlertEvent("SOS", "EMERGENCY", "BAG1", 0, "test")
         sink.deliver(event)
-        sink.http.close()
+        sink.close()
         [(method, path, body)] = counting_server.requests
         assert (method, path) == ("POST", "/hooks/a%20b?key=x%2Fy")
         assert json.loads(body) == event.to_json()
@@ -560,7 +560,7 @@ class TestWebhook:
         store.append_history("bags/BAG1/history",
                              record_from_features(idle.mean, sos=1))
         service.poll_once()
-        hook.http.close()
+        hook.close()
         assert [e["kind"] for e in log.read()] == ["SOS"]
         assert len(counting_server.requests) == 3
 

@@ -10,11 +10,11 @@ import time
 
 import pytest
 
-from smartbag import alerts, nn
+from smartbag import alerts, frames, nn
 from smartbag.cli import main
 from smartbag.store import HttpStoreClient, Store, StoreServer, StoreUnavailable
 
-from conftest import python_env, run_python, serve
+from conftest import python_env, run_python, serve, unused_port
 from test_gateway import trace_lines
 from test_nn import non_utf8_class_model_blob, zero_layer_model_blob
 
@@ -239,12 +239,109 @@ class TestServices:
             r"pushed (\d+) records \(0 dropped, 0 malformed\)",
             out.splitlines()[-1])
         assert summary, out
-        # after a signal that lands while a POST's reply is on its way, the
-        # read-back waits for that reply to begin, so it sees the record
+        # a signal waits for the exchange it lands in to end, so the
+        # read-back after it runs on a clean connection, sees the record
         # and counts it
         assert int(summary[1]) == len(seqs)
         assert len(seqs) >= 2
         assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+
+    def test_loopback_services(self, model_file, tmp_path):
+        """The store, gateway, alerts and alarm commands, each its own
+        process on one loopback port: two SOS frames 40 s of record time
+        apart cross the gateway, the store and the alert service, and each
+        is notified once, through a store restart on the same WAL and port
+        and an alert-service restart on the same cursor and log."""
+        port = unused_port()
+        url = f"http://127.0.0.1:{port}"
+        wal, log = tmp_path / "s.wal", tmp_path / "n.jsonl"
+        cursor, trace = tmp_path / "c", tmp_path / "t.txt"
+        procs = []
+
+        def start(*args):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "smartbag.cli", *args],
+                env=python_env(), stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True))
+            return procs[-1]
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "smartbag.cli", *args],
+                env=python_env(), capture_output=True, text=True, timeout=30)
+
+        def stop(proc):  # SIGTERM stops a service with exit status 0
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=10)
+            assert proc.returncode == 0, err
+
+        def until(condition):
+            deadline = time.monotonic() + 20
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+
+        def listening():
+            with socket.socket() as sock:
+                return sock.connect_ex(("127.0.0.1", port)) == 0
+
+        def sos_lines():
+            return log.read_text().count('"SOS"') if log.exists() else 0
+
+        alerts_args = ("alerts", "--store", url, "--model", model_file,
+                       "--log", str(log), "--cursor", str(cursor),
+                       "--interval", "100")
+        frames.write_trace([frames.SensorFrame(device_id="BAG1", seq=i,
+                                               ts=i * 1000, sos=int(i in (3, 43)))
+                            for i in range(46)], trace)
+        try:
+            store = start("store", "--port", str(port), "--log", str(wal))
+            until(listening)
+            # at --speed 20 a 50 ms push period spans 1-2 s of record time,
+            # so the two SOS records stay more than the 30 s window apart
+            gateway = run("gateway", "--store", url, "--trace", str(trace),
+                          "--speed", "20", "--period", "50")
+            assert gateway.returncode == 0, gateway.stderr
+            # a new store on the same log and port serves what the gateway
+            # pushed, replayed from the WAL
+            stop(store)
+            store = start("store", "--port", str(port), "--log", str(wal))
+            until(listening)
+            # both records reach the service in one poll, and dedup on
+            # record time notifies each
+            alerts = start(*alerts_args)
+            until(lambda: sos_lines() == 2)
+            stop(alerts)
+            assert sos_lines() == 2
+            # a restart on the same cursor and log resumes after the SOS:
+            # it reads one more record, and notifies nothing again
+            alerts = start(*alerts_args)
+            client = HttpStoreClient(url)
+            try:
+                record = frames.to_record(frames.SensorFrame(
+                    device_id="BAG1", seq=46, ts=46000), 46000)
+                pushed = client.post("bags/BAG1/history", record,
+                                     latest="bags/BAG1/latest")["name"]
+                until(lambda: cursor.exists() and
+                      json.loads(cursor.read_text())["cursor"] == pushed)
+                assert "activity" in client.get("bags/BAG1/latest")
+            finally:
+                client.close()
+            stop(alerts)
+            assert sos_lines() == 2
+            # a cursor that cannot be written is refused at start-up
+            refused = run(*alerts_args, "--cursor",
+                          str(tmp_path / "missing" / "c"))
+            assert refused.returncode == 1
+            assert len(refused.stderr.splitlines()) == 1
+            assert refused.stderr.startswith("error: ")
+            alarm = run("alarm", "BAG1", "--store", url)
+            assert "alarm requested" in alarm.stdout, alarm.stderr
+            stop(store)
+        finally:
+            for proc in procs:
+                proc.kill()  # no-op once it has exited
+                proc.communicate()
 
     def test_alerts_closes_its_store_and_webhook_connections(
             self, model_file, tmp_path, monkeypatch):

@@ -5,12 +5,14 @@ import http.client
 import inspect
 import json
 import os
+import signal
 import socket
 import struct
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -25,11 +27,13 @@ from smartbag.dataset import default_profiles
 from smartbag.frames import SimulatorSource
 from smartbag.gateway import Gateway, GatewayConfig, to_record
 from smartbag.store import (
-    MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, Store, StoreServer,
-    StoreUnavailable, merge_docs,
+    MAX_BODY_BYTES, BadDocument, BadPath, HttpStoreClient, JsonConnection,
+    Store, StoreServer, StoreUnavailable, merge_docs,
 )
 
-from conftest import TRICKY_DOCS, FaultyClient, nested, run_python, serve
+from conftest import (
+    TRICKY_DOCS, FaultyClient, nested, run_python, serve, unused_port,
+)
 
 
 def wal(records) -> bytes:
@@ -940,12 +944,6 @@ def test_refusal_table(refusing_server, request_, status, close):
     assert refusing_server.store.history == {}
 
 
-def unused_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 @pytest.fixture
 def make_client():
     """HttpStoreClient factory; closes what it made after the test."""
@@ -1121,113 +1119,181 @@ class TestHttpClientFailures:
         assert out == "ok\n"
 
 
-class TestInterruptedExchange:
-    """A KeyboardInterrupt, which SIGINT and SIGTERM raise in the services,
-    that lands during a push; the read-back after it must get its own reply
-    and see the push."""
+class SlowStore(Store):
+    """Holds each history append until `go` is set; `holding` is set once
+    an append waits."""
 
-    class SlowStore(Store):
-        """Holds each history append until `go` is set."""
+    def __init__(self):
+        super().__init__()
+        self.holding, self.go = threading.Event(), threading.Event()
 
-        def __init__(self):
-            super().__init__()
-            self.go = threading.Event()
+    def append_history(self, *args, **kwargs):
+        self.holding.set()
+        assert self.go.wait(10)
+        return super().append_history(*args, **kwargs)
 
-        def append_history(self, *args, **kwargs):
-            assert self.go.wait(10)
-            return super().append_history(*args, **kwargs)
 
-    @pytest.fixture
-    def live(self, make_client):
-        srv = serve(self.SlowStore())
-        client = make_client(srv.base_url)
+@pytest.fixture
+def slow_server():
+    srv = serve(SlowStore())
+    yield srv
+    srv.store.go.set()
+    srv.stop()
+
+
+def handlers() -> list:
+    return [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+
+
+@pytest.fixture
+def sigterm_interrupts():
+    """SIGTERM raises KeyboardInterrupt for the test, as `cli.main` sets it
+    for a service."""
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGTERM, previous)
+
+
+def kill_when(event: threading.Event, signum, delay=0.0,
+              then=None) -> threading.Thread:
+    """A started thread that sends `signum` to this process `delay` seconds
+    after `event` is set, and then calls `then`."""
+    def run():
+        assert event.wait(10)
+        time.sleep(delay)
+        os.kill(os.getpid(), signum)
+        if then is not None:
+            then()
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestSignalDuringExchange:
+    """A SIGINT or SIGTERM that arrives while a request is on the wire
+    waits for the exchange to end, so the read-back after it gets its own
+    reply on the same connection and sees the write once."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_raised_once_the_reply_is_read(self, slow_server, make_client,
+                                           sigterm_interrupts, signum):
+        before = handlers()
+        client = make_client(slow_server.base_url)
         assert client.get("bags/a/latest") is None  # opens the connection
-        yield srv, client, client.http._conn
-        srv.store.go.set()
-        srv.stop()
+        sock = client.http._conn.sock
+        store = slow_server.store
 
-    @staticmethod
-    def push(client) -> None:
+        def release():  # a while after the signal
+            time.sleep(0.2)
+            store.go.set()
+        killer = kill_when(store.holding, signum, then=release)
         with pytest.raises(KeyboardInterrupt):
-            client.post("bags/a/history", {"n": 1}, latest="bags/a/latest")
-
-    @staticmethod
-    def check_read_back(client) -> None:
+            try:
+                client.post("bags/a/history", {"n": 1}, latest="bags/a/latest")
+            except KeyboardInterrupt:
+                assert store.go.is_set()  # raised after the store answered
+                raise
+        killer.join(5)
+        assert client.http._conn.sock is sock
         assert client.get("bags/a/latest") == {"n": 1}
         assert [e.doc for e in client.get_history("bags/a/history")] == \
             [{"n": 1}]
+        assert handlers() == before
 
-    def test_before_the_reply_the_read_back_waits_for_it(self, live,
-                                                         monkeypatch):
-        # the store holds the push while the read-back is sent: on a new
-        # connection the read-back would overtake it and miss the record
-        srv, client, conn = live
-        sock, readable, waits = conn.sock, store_module._readable, []
+    def test_request_still_being_sent(self):
+        # the listener reads nothing until the signal has landed, so the
+        # 8 MiB body, past what the socket buffers hold, is still going out
+        body = {"blob": "x" * (8 << 20)}
+        accepted, signalled, received = (threading.Event(), threading.Event(),
+                                         [])
+        with socket.socket() as listener:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
 
-        def interrupted(sock, timeout_ms):  # the wait for the push's reply
-            if timeout_ms and not waits:
-                waits.append(timeout_ms)
-                raise KeyboardInterrupt
-            return readable(sock, timeout_ms)
+            def answer_two():  # each reply names its request
+                peer, _ = listener.accept()
+                accepted.set()
+                assert signalled.wait(10)
+                with peer, peer.makefile("rb") as reader:
+                    for n in (1, 2):
+                        length = 0
+                        while (line := reader.readline()) not in (b"\r\n", b""):
+                            if line.lower().startswith(b"content-length:"):
+                                length = int(line.split(b":")[1])
+                        received.append(len(reader.read(length)))
+                        peer.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 7"
+                                     b"\r\n\r\n" + b'{"n":%d}' % n)
 
-        monkeypatch.setattr(store_module, "_readable", interrupted)
-        self.push(client)
-        release = threading.Timer(0.2, srv.store.go.set)
-        release.start()
-        self.check_read_back(client)
-        assert conn.sock is sock
-        release.join(5)
+            server = threading.Thread(target=answer_two, daemon=True)
+            server.start()
+            conn = JsonConnection(
+                "http://127.0.0.1:%d" % listener.getsockname()[1])
+            killer = kill_when(accepted, signal.SIGINT, delay=0.2,
+                               then=signalled.set)
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    try:
+                        conn.request("POST", "/big", body)
+                    except KeyboardInterrupt:
+                        # raised once the whole request was read and answered
+                        assert received[:1] == [len(json.dumps(body))]
+                        raise
+                killer.join(5)
+                assert conn.request("GET", "/next")[:2] == (200, b'{"n":2}')
+            finally:
+                conn.close()
+            server.join(5)
+        assert received == [len(json.dumps(body)), 0]
 
-    @pytest.mark.parametrize("stage", ["status line", "torn", "body"])
-    def test_once_the_reply_starts_the_read_back_goes_through(
-            self, live, stage):
-        # the store began to answer the push, so it is done with it; the
-        # rest of that reply is dropped with the connection
-        srv, client, conn = live
-        srv.store.go.set()
-        getresponse = conn.getresponse
-
-        def interrupted():
-            conn.getresponse = getresponse  # later calls go through
-            if stage == "torn":
-                conn.sock.recv(5)  # the start of the status line, lost
-            if stage != "body":
-                raise KeyboardInterrupt
-            resp = getresponse()
-            resp.read = raise_once(resp.read)
-            return resp
-
-        conn.getresponse = interrupted
-        self.push(client)
-        self.check_read_back(client)
-
-    def test_request_interrupted_while_sent(self, live):
-        # the client cannot tell how much of the request went out, so the
-        # next request is refused rather than sent on a new connection
-        srv, client, conn = live
-        srv.store.go.set()
-        conn.request = raise_once(conn.request, after=True)
-        self.push(client)
-        with pytest.raises(StoreUnavailable, match="interrupted"):
-            client.get("bags/a/latest")
-        assert conn.sock is None
-        self.check_read_back(client)
+    def test_worker_thread_holds_nothing(self, server, make_client):
+        # signal.signal raises ValueError off the main thread, so the
+        # request would fail if it tried to swap a handler
+        before, results = handlers(), []
+        client = make_client(server.base_url)
+        worker = threading.Thread(target=lambda: results.append(
+            client.post("bags/a/history", {"n": 1})))
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert len(results) == 1 and "name" in results[0]
+        assert handlers() == before
 
 
-def raise_once(fn, after=False):
-    """`fn`, except that its first call raises KeyboardInterrupt: before
-    `fn` runs, or with `after`, once it has returned."""
-    calls = []
+class TestServerErrors:
+    def test_client_hang_up_is_one_debug_line(self, slow_server, make_client,
+                                              capfd, caplog):
+        # the client sends a POST and resets the connection while the store
+        # holds it, so the reply meets a reset socket
+        store, httpd = slow_server.store, slow_server.httpd
+        with socket.create_connection(httpd.server_address[:2]) as sock:
+            sock.sendall(b"POST /bags/a/history.json HTTP/1.1\r\n"
+                         b"Content-Length: 2\r\n\r\n{}")
+            assert store.holding.wait(5)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))  # close with an RST
+        with caplog.at_level("DEBUG", logger="smartbag.store"):
+            store.go.set()
+            deadline = time.monotonic() + 5
+            while httpd._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert not httpd._connections
+        assert "Exception occurred" not in capfd.readouterr().err
+        [hung_up] = [r for r in caplog.records if "hung up" in r.getMessage()]
+        assert hung_up.levelname == "DEBUG" and hung_up.exc_info is None
+        # the server keeps serving, and the write was applied
+        client = make_client(slow_server.base_url)
+        assert [e.doc for e in client.get_history("bags/a/history")] == [{}]
 
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1 and not after:
-            raise KeyboardInterrupt
-        result = fn(*args, **kwargs)
-        if len(calls) == 1:
-            raise KeyboardInterrupt
-        return result
-    return wrapper
+    def test_other_faults_keep_their_traceback(self, server, capfd, caplog):
+        try:
+            raise RuntimeError("boom")
+        except RuntimeError:
+            server.httpd.handle_error(None, ("127.0.0.1", 1))
+        [record] = caplog.records
+        assert record.levelname == "ERROR"
+        assert record.exc_info[0] is RuntimeError
+        assert "Exception occurred" not in capfd.readouterr().err
 
 
 def test_clients_hand_out_the_logged_text(tmp_path, make_client):
