@@ -36,8 +36,9 @@ once, logs it, and applies the object decoded from those bytes, as replay
 does, so a tuple is kept as a list and an int key as a string. A refused
 write is undone: a document JSON cannot hold, or one that nests objects and
 arrays deeper than MAX_DOC_DEPTH (64) levels, raises BadDocument, and a
-failed log append is cut from the log and raises StoreUnavailable. A closed
-store with a log refuses every write with StoreUnavailable. `get`
+failed log append is cut from the log and raises StoreUnavailable. `close`
+waits for a write in progress to commit; a closed store with a log then
+refuses every write with StoreUnavailable. `get`
 returns a copy and `get_history` the store's immutable entries, so
 changing a document read changes nothing in the store. Replay skips a
 record whose document nests deeper than MAX_DOC_DEPTH, which only a log
@@ -80,7 +81,8 @@ and 400 to a path without `.json`, a malformed path or `latest`, a bad
 `limit`, a body that is not UTF-8 JSON or not an object, a document over
 MAX_DOC_DEPTH levels deep, a bad `Content-Length`, a chunked body, or a GET
 with a body, where the last three and the 413, which leave a body unread,
-also close the connection.
+also close the connection. A `limit` or `Content-Length` is good when every
+value given for it is the same count in ASCII digits.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 from operator import attrgetter
-from urllib.parse import parse_qsl, quote, urlencode, urlsplit
+from urllib.parse import parse_qs, quote, urlencode, urlsplit
 
 from . import files
 from .clock import RealClock
@@ -367,12 +369,26 @@ class Store:
         return parse_path(path) in self.history
 
     def close(self) -> None:
-        """Close the log; a store with a log then refuses every write."""
+        """Close the log once a write in progress is committed; a store with
+        a log then refuses every write."""
         if self._log is not None:
-            self._log.close()
+            with self._lock:
+                self._log.close()
 
 
 # --- HTTP layer ----------------------------------------------------------
+
+
+def _count(texts: list) -> int:
+    """The number that `texts`, each value a request gave for one header or
+    query parameter, all spell in ASCII digits (RFC 9110 section 8.6 writes
+    Content-Length as 1*DIGIT). Raises ValueError for anything else: no
+    digits, a sign, an underscore, a digit outside ASCII, or two values."""
+    values = set(texts)
+    if len(values) != 1 or not (text := values.pop()).isascii() \
+            or not text.isdigit():
+        raise ValueError(f"not one count in ASCII digits: {texts!r}")
+    return int(text)
 
 
 class _Refused(Exception):
@@ -422,12 +438,22 @@ class _Handler:
             self._reply(200, body)
 
     def _path(self) -> tuple:
-        """The store path and the query parameters of the request."""
+        """The store path and the query parameters of the request, each with
+        the list of values it was given."""
         path, _, query = self.path.partition("?")
         if not path.endswith(".json"):
             raise _Refused(400, "path must end with .json")
         # keep_blank_values: `since=` means "from the start"
-        return path[:-len(".json")], dict(parse_qsl(query, keep_blank_values=True))
+        return path[:-len(".json")], parse_qs(query, keep_blank_values=True)
+
+    def _length(self) -> int:
+        """The request's Content-Length, 0 without one. A bad one is
+        refused, and closes the connection: where the body ends is unknown."""
+        texts = self.headers.get_all("Content-Length", ["0"])
+        try:  # a header's value may have spaces or tabs around it
+            return _count([text.strip(" \t") for text in texts])
+        except ValueError:
+            raise _Refused(400, "bad Content-Length", close=True) from None
 
     def _body(self):
         """The request's JSON body, read before the path is checked. A body
@@ -436,12 +462,7 @@ class _Handler:
         if "Transfer-Encoding" in self.headers:
             raise _Refused(400, "Transfer-Encoding is not supported",
                            close=True)
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise _Refused(400, "bad Content-Length", close=True)
+        length = self._length()
         if length > MAX_BODY_BYTES:
             raise _Refused(413, f"body over {MAX_BODY_BYTES} bytes",
                            close=True)
@@ -461,21 +482,20 @@ class _Handler:
             doc = self._body()
             path, query = self._path()
             return {"name": self.store.append_history(
-                path, doc, latest=query.get("latest"))}
+                path, doc, latest=query.get("latest", [None])[-1])}
         self._serve(append)
 
     def do_GET(self):
         def read():
             # no GET reads a body, so one that carries a body closes the
             # connection, as `_body` does
-            if (self.headers.get("Content-Length", "0").strip() != "0"
-                    or "Transfer-Encoding" in self.headers):
+            if "Transfer-Encoding" in self.headers or self._length() != 0:
                 raise _Refused(400, "GET takes no body", close=True)
             path, query = self._path()
             if "since" in query or "limit" in query:
-                limit = int(query["limit"]) if "limit" in query else None
-                page = self.store.get_history(path, since=query.get("since"),
-                                              limit=limit)
+                limit = _count(query["limit"]) if "limit" in query else None
+                page = self.store.get_history(
+                    path, since=query.get("since", [None])[-1], limit=limit)
                 # each entry's logged text goes into the reply as it is
                 return ("[" + ",".join(
                     f'{{"id":{_compact_json(e.push_id)},'

@@ -23,7 +23,6 @@ from test_frames import random_frame
 from test_nn import (
     empty_grads, finite_difference_grads, make_params, max_rel_error,
 )
-from test_store import apply_ops, random_ops
 
 
 _capman = None
@@ -156,6 +155,30 @@ def test_protocol_round_trip_and_fuzz():
     report("protocol round trip and fuzz",
            f"(10k round trips, 10k fuzz lines, {trials}/{trials} "
            "bit flips rejected)")
+
+
+def random_ops(rng, n):
+    ops = []
+    for _ in range(n):
+        path = f"bags/dev{rng.integers(0, 3)}/{rng.choice(['latest', 'state'])}"
+        doc = {f"k{rng.integers(0, 5)}": int(rng.integers(0, 100)),
+               "nested": {f"x{rng.integers(0, 3)}": int(rng.integers(0, 10))}}
+        if rng.random() < 0.5:
+            ops.append(("patch", path, doc, None))
+        else:
+            # half the appends also merge into a document, as a push does
+            latest = path if rng.random() < 0.5 else None
+            ops.append(("append", f"bags/dev{rng.integers(0, 3)}/history",
+                        doc, latest))
+    return ops
+
+
+def apply_ops(store, ops):
+    for op, path, doc, latest in ops:
+        if op == "patch":
+            store.patch(path, doc)
+        else:
+            store.append_history(path, doc, latest=latest)
 
 
 def test_store_durability(tmp_path, open_store):

@@ -31,6 +31,12 @@ At teardown one more frame is pushed and polled without a fault; then the
 stored records are the buffered ones less those trimmed unstored,
 `latest` is the newest with its class as `activity`, and the cursor is
 the last push id.
+
+The notification oracle is `eval_rules` itself, and the class oracle is
+`classify_record`, so a defect inside a rule (a wrong severity, kind,
+threshold or dedup window) passes here: `TestEvalRules` must catch it.
+What this checks is that the services call them on each stored record
+once, in order, with one dedup state carried across polls and restarts.
 """
 
 import contextlib

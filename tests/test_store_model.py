@@ -13,6 +13,14 @@ and returned are then scribbled on, so a store that shares structure with
 its caller shows in the next check. After every step both stores equal the
 oracle, which holds the JSON form of what was written, as text; a restart
 reopens both WALs, the server on the same port under the same client.
+
+The draws are shaped so that a short example meets the edges of a read and
+a merge. Each example starts from two or three pushes to one path, each
+merged into its document; most calls then name that path; a post then
+reads a page of its path's history; `since` is one of the path's push ids
+or a point before, between or after them, and `limit` is 0 to 3 or none;
+and many documents hold an object under "gps" with one of two keys, which
+a later write to the same path merges into.
 """
 
 import json
@@ -24,21 +32,25 @@ import tempfile
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, rule)
 
 from smartbag.clock import VirtualClock
 from smartbag.store import MAX_DOC_DEPTH, HttpStoreClient, Store
 
 from conftest import TRICKY_DOCS, nested, serve
 
-# a path may hold both a document and a history
+# a path may hold both a document and a history. The first is drawn most,
+# so that its history grows to a few entries and its document merges a few
+# writes
 GOOD_PATHS = ["bags/a/latest", "bags/a/history", "b/state"]
-# segments no path may hold, each put inside a good path
+# the empty path, and each good path with a segment no path may hold
 EDGE_SEGMENTS = ["a\n", "%41", ".", "", " ", "é"]
-BAD_PATHS = st.builds(lambda path, edge: path.replace("/", f"/{edge}/", 1),
-                      st.sampled_from(GOOD_PATHS), st.sampled_from(EDGE_SEGMENTS))
-PATHS = st.one_of(st.sampled_from(GOOD_PATHS), st.sampled_from(GOOD_PATHS),
-                  BAD_PATHS)
+BAD_PATHS = st.sampled_from([""] + [path.replace("/", f"/{edge}/", 1)
+                                    for path in GOOD_PATHS
+                                    for edge in EDGE_SEGMENTS])
+PATHS = st.one_of(st.just(GOOD_PATHS[0]), st.just(GOOD_PATHS[0]),
+                  st.sampled_from(GOOD_PATHS), BAD_PATHS)
 KEYS = st.one_of(st.sampled_from(["a", "b", "gps"]), st.integers(0, 2))
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-2**40, 2**40),
@@ -47,14 +59,19 @@ LEAVES = st.one_of(
 VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.tuples(inner, inner),
     st.dictionaries(KEYS, inner, max_size=3)), max_leaves=6)
+# an object under "gps", as in a gateway record: two of these written to one
+# path share that key, and a merge must recurse into it to keep both
+# coordinates
+NESTED = st.builds(lambda key, leaf: {"gps": {key: leaf}},
+                   st.sampled_from(["lat", "lon"]), LEAVES)
+LIMITS = st.sampled_from([None, -1, 0, 1, 2, 3])
 TOO_DEEP = [nested(MAX_DOC_DEPTH + 1), nested(520)]
 # objects and arrays by the dozen, but shallow, with brackets in the text
 WIDE = {"rows": [{"i": [i]} for i in range(2 * MAX_DOC_DEPTH)],
         "text": "{[" * MAX_DOC_DEPTH}
 DOCS = st.one_of(
-    st.dictionaries(KEYS, VALUES, max_size=4),
-    st.dictionaries(KEYS, VALUES, max_size=4),
-    st.sampled_from([*TRICKY_DOCS.values(), WIDE, nested(MAX_DOC_DEPTH),
+    st.dictionaries(KEYS, VALUES, max_size=4), NESTED,
+    st.sampled_from([{}, *TRICKY_DOCS.values(), WIDE, nested(MAX_DOC_DEPTH),
                      *TOO_DEEP]))
 
 
@@ -145,8 +162,8 @@ class StoreModel(RuleBasedStateMachine):
             assert reply == "null"
             self.docs[path] = merged(self.docs.get(path, {}), json_form(doc))
 
-    @rule(path=PATHS, doc=DOCS, latest=st.none() | st.just("") | PATHS)
-    def post(self, path, doc, latest):
+    def push(self, path, doc, latest):
+        """Posts `doc` to the history at `path`, merging it into `latest`."""
         ok = (path in GOOD_PATHS and latest in GOOD_PATHS + [None]
               and doc not in TOO_DEEP)
         reply = self.both(ok, "post", path, doc, latest=latest)
@@ -162,6 +179,21 @@ class StoreModel(RuleBasedStateMachine):
             self.docs[latest] = merged(self.docs.get(latest, {}),
                                        json_form(doc))
 
+    @initialize(docs=st.lists(NESTED, min_size=2, max_size=3))
+    def pushed(self, docs):
+        """Each example starts where a bag has pushed a few records: a
+        history of two or three entries, each merged into one document."""
+        for doc in docs:
+            self.push(GOOD_PATHS[0], doc, GOOD_PATHS[0])
+
+    @rule(path=PATHS, doc=DOCS, latest=st.none() | PATHS, limit=LIMITS,
+          data=st.data())
+    def post(self, path, doc, latest, limit, data):
+        """Posts `doc`, then reads a page of the path's history, as the
+        alert service does."""
+        self.push(path, doc, latest)
+        self.get_history(path, limit, data)
+
     @rule(path=PATHS)
     def get(self, path):
         ok = path in GOOD_PATHS
@@ -169,12 +201,17 @@ class StoreModel(RuleBasedStateMachine):
         if ok:
             assert reply == json.dumps(self.docs.get(path))
 
-    @rule(path=PATHS, since=st.none() | st.just("") | st.integers(0, 40),
-          limit=st.sampled_from([None, -1, 0, 1, 2, 3]))
-    def get_history(self, path, since, limit):
-        if isinstance(since, int):  # an issued id, or one before or after all
-            known = self.ids + ["0" * 20, "9" * 20]
-            since = known[since % len(known)]
+    @rule(path=PATHS, limit=LIMITS, data=st.data())
+    def get_history(self, path, limit, data):
+        # `since` comes from the path's own history: one of its ids, or a
+        # point no id holds, before all, between two ids or after all
+        ids = [int(e[0]) for e in self.history.get(path, [])] or [10 ** 19]
+        gaps = sorted({ids[0] - 1, *(i + 1 for i in ids)} - set(ids))
+        since = data.draw(st.one_of(
+            st.none(), st.just(""), st.sampled_from(ids),
+            st.sampled_from(gaps)), "since")
+        if isinstance(since, int):
+            since = f"{since:020d}"
         ok = path in GOOD_PATHS and (limit is None or limit >= 0)
         reply = self.both(ok, "get_history", path, since=since, limit=limit)
         if ok:
